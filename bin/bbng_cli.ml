@@ -1015,11 +1015,14 @@ let census_cmd =
                   die Obs.Exit_code.input_error)
           | None ->
               let profiles = Equilibrium.count_profiles budgets in
-              if profiles > 200_000 then
-                Format.printf
-                  "instance has %d profiles; run the sharded census with \
-                   --out FILE.jsonl (checkpointed, resumable, parallel)@."
-                  profiles
+              if profiles > 200_000 then begin
+                (* a refusal, not an answer: stderr and the usage code *)
+                Format.eprintf
+                  "census: instance has %d profiles; run the sharded census \
+                   with --out FILE.jsonl (checkpointed, resumable, parallel)@."
+                  profiles;
+                die Obs.Exit_code.cli_error
+              end
               else report_outcome (Census.run ?limit ~budget game))
   in
   let info =

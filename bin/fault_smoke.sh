@@ -244,4 +244,14 @@ grep -q '"row":"claim"' census12c/CEN.jsonl.partial \
 cmp -s census12/CEN.jsonl census12c/CEN.jsonl \
   || fail "worker recovery is not byte-identical to the uninterrupted run"
 
+echo "== 13. in-memory census refuses a large instance with the usage code =="
+# 6^7 = 279,936 profiles: over the in-memory limit, so without --out the
+# census must refuse on stderr with exit 124 and print nothing on stdout
+rc=0
+"$CLI" census -b 1,1,1,1,1,1,1 > census13.out 2> census13.err || rc=$?
+[ "$rc" -eq 124 ] || fail "in-memory census refusal exited $rc, expected 124"
+[ -s census13.out ] && fail "in-memory census refusal wrote to stdout"
+grep -q -- "--out FILE.jsonl" census13.err \
+  || fail "in-memory census refusal does not name --out on stderr"
+
 echo "fault-smoke: all green"

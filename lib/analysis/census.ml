@@ -404,49 +404,42 @@ let histogram_of tbl =
 let bump tbl d by =
   Hashtbl.replace tbl d (by + Option.value ~default:0 (Hashtbl.find_opt tbl d))
 
-let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
-  let n = Game.n game in
-  let acc = ref Structure.Iso_acc.empty in
-  let diams = Hashtbl.create 8 in
-  let found = ref 0 in
-  Obs.Budgeted.guard budget (fun () ->
-      Equilibrium.iter_profiles_range (Game.budgets game) ~lo:shard.lo
-        ~hi:shard.hi (fun profile ->
-          Obs.Budgeted.checkpoint ~cost:n budget;
-          Obs.Metrics.incr m_scanned;
-          (match progress with Some p -> Obs.Progress.step p | None -> ());
-          if Equilibrium.is_nash game profile then begin
-            incr found;
-            Obs.Metrics.incr m_equilibria;
-            acc := Structure.Iso_acc.add !acc profile;
-            bump diams (Game.social_cost game profile) 1
-          end);
-      {
-        shard;
-        found = !found;
-        classes = Structure.Iso_acc.classes !acc;
-        diameters = histogram_of diams;
-      })
+(* Running aggregate of one scan (a shard, or the whole in-memory
+   census). *)
+type tally = {
+  mutable found : int;
+  mutable iso : Structure.Iso_acc.t;
+  diams : (int, int) Hashtbl.t;
+}
 
-let merge game plan results =
-  let acc, diams, found, scanned =
-    List.fold_left
-      (fun (acc, diams, found, scanned) r ->
-        let acc =
-          List.fold_left
-            (fun acc (rep, count) -> Structure.Iso_acc.add_class acc ~rep ~count)
-            acc r.classes
-        in
-        List.iter (fun (d, c) -> bump diams d c) r.diameters;
-        (acc, diams, found + r.found, scanned + (r.shard.hi - r.shard.lo)))
-      (Structure.Iso_acc.empty, Hashtbl.create 8, 0, 0)
-      results
-  in
+let new_tally () =
+  { found = 0; iso = Structure.Iso_acc.empty; diams = Hashtbl.create 8 }
+
+(* The one per-profile step of every census scan, sharded or not:
+   checkpoint the token, certify, and fold an equilibrium into the
+   tally; true iff the profile is an equilibrium.  Only equilibria pay
+   for a realization: one diameter, shared by the histogram and the iso
+   fingerprint.  A refuted profile costs its certification alone. *)
+let scan_profile ~budget ?progress game tally profile =
+  Obs.Budgeted.checkpoint ~cost:(Game.n game) budget;
+  Obs.Metrics.incr m_scanned;
+  (match progress with Some p -> Obs.Progress.step p | None -> ());
+  Equilibrium.is_nash game profile
+  && begin
+       tally.found <- tally.found + 1;
+       Obs.Metrics.incr m_equilibria;
+       let diameter = Game.social_cost game profile in
+       tally.iso <- Structure.Iso_acc.add ~diameter tally.iso profile;
+       bump tally.diams diameter 1;
+       true
+     end
+
+let census_of game ~total ~scanned ~found iso diams =
   let diameter_histogram = histogram_of diams in
-  let iso_class_counts = Structure.Iso_acc.classes acc in
+  let iso_class_counts = Structure.Iso_acc.classes iso in
   {
     game;
-    total_profiles = plan.total;
+    total_profiles = total;
     scanned_profiles = scanned;
     equilibria = found;
     iso_classes = List.map fst iso_class_counts;
@@ -459,6 +452,35 @@ let merge game plan results =
       | [] -> None
       | (d, _) :: _ -> Some d);
   }
+
+let scan_shard ?(budget = Obs.Budgeted.unlimited) ?progress game shard =
+  let tally = new_tally () in
+  Obs.Budgeted.guard budget (fun () ->
+      Equilibrium.iter_profiles_range (Game.budgets game) ~lo:shard.lo
+        ~hi:shard.hi (fun profile ->
+          ignore (scan_profile ~budget ?progress game tally profile : bool));
+      {
+        shard;
+        found = tally.found;
+        classes = Structure.Iso_acc.classes tally.iso;
+        diameters = histogram_of tally.diams;
+      })
+
+let merge game plan results =
+  let iso, diams, found, scanned =
+    List.fold_left
+      (fun (iso, diams, found, scanned) r ->
+        let iso =
+          List.fold_left
+            (fun iso (rep, count) -> Structure.Iso_acc.add_class iso ~rep ~count)
+            iso r.classes
+        in
+        List.iter (fun (d, c) -> bump diams d c) r.diameters;
+        (iso, diams, found + r.found, scanned + (r.shard.hi - r.shard.lo)))
+      (Structure.Iso_acc.empty, Hashtbl.create 8, 0, 0)
+      results
+  in
+  census_of game ~total:plan.total ~scanned ~found iso diams
 
 let unscanned_ranges plan results =
   let present = Array.make (max 1 plan.num_shards) false in
@@ -523,51 +545,24 @@ let finish ?checkpoint ~budget game plan results =
 exception Limit_hit
 
 let run ?limit ?(budget = Obs.Budgeted.unlimited) game =
-  let budgets = Game.budgets game in
-  let total = Equilibrium.count_profiles budgets in
-  let n = Game.n game in
+  let total = Equilibrium.count_profiles (Game.budgets game) in
+  let tally = new_tally () in
   let scanned = ref 0 in
-  let found = ref 0 in
-  let acc = ref Structure.Iso_acc.empty in
-  let diams = Hashtbl.create 8 in
   let expired = ref None in
   Obs.Progress.with_task ~total ~budget "census" (fun progress ->
       try
-        Equilibrium.iter_profiles budgets (fun profile ->
-            Obs.Budgeted.checkpoint ~cost:n budget;
+        Equilibrium.iter_profiles (Game.budgets game) (fun profile ->
+            let nash = scan_profile ~budget ~progress game tally profile in
             incr scanned;
-            Obs.Metrics.incr m_scanned;
-            Obs.Progress.step progress;
-            if Equilibrium.is_nash game profile then begin
-              incr found;
-              Obs.Metrics.incr m_equilibria;
-              acc := Structure.Iso_acc.add !acc profile;
-              bump diams (Game.social_cost game profile) 1;
-              match limit with
-              | Some l when !found >= l -> raise Limit_hit
-              | Some _ | None -> ()
-            end)
+            match limit with
+            | Some l when nash && tally.found >= l -> raise Limit_hit
+            | Some _ | None -> ())
       with
       | Limit_hit -> ()
       | Obs.Budgeted.Expired -> expired := Some (partial_why budget));
-  let diameter_histogram = histogram_of diams in
-  let iso_class_counts = Structure.Iso_acc.classes !acc in
   let census =
-    {
-      game;
-      total_profiles = total;
-      scanned_profiles = !scanned;
-      equilibria = !found;
-      iso_classes = List.map fst iso_class_counts;
-      iso_class_counts;
-      diameter_histogram;
-      min_diameter =
-        (match diameter_histogram with [] -> None | (d, _) :: _ -> Some d);
-      max_diameter =
-        (match List.rev diameter_histogram with
-        | [] -> None
-        | (d, _) :: _ -> Some d);
-    }
+    census_of game ~total ~scanned:!scanned ~found:tally.found tally.iso
+      tally.diams
   in
   match !expired with
   | None -> Complete census

@@ -173,8 +173,10 @@ val claim_row : key:string -> owner:string -> pid:int -> int -> Bbng_obs.Json.t
 (** {1 Derived statistics} *)
 
 val price_of_anarchy : t -> Poa.ratio option
-(** Worst equilibrium diameter over the instance's exact OPT (computed
-    by enumeration as well); [None] if no equilibrium was found. *)
+(** Worst equilibrium diameter over the instance's exact OPT
+    ({!Poa.opt_diameter_exact}: free when OPT's bounds meet, as on
+    every unit-budget instance with n >= 4, an early-exit enumeration
+    otherwise); [None] if no equilibrium was found. *)
 
 val pp_summary : Format.formatter -> t -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -85,7 +85,7 @@ module Iso_acc = struct
      digraph test only ever runs within a bucket — orbit pruning for
      the accumulator.  In/out-degree sequences, brace count and the
      underlying diameter are all preserved by relabeling. *)
-  let fingerprint profile =
+  let fingerprint ?diameter profile =
     let g = Strategy.realize profile in
     let n = Strategy.n profile in
     let indeg = Array.make n 0 in
@@ -114,7 +114,12 @@ module Iso_acc = struct
     Buffer.add_char b '|';
     Buffer.add_string b (string_of_int (List.length (Digraph.braces g)));
     Buffer.add_char b '|';
-    Buffer.add_string b (string_of_int (Cost.social_cost (Strategy.underlying profile)));
+    let diameter =
+      match diameter with
+      | Some d -> d
+      | None -> Cost.social_cost (Strategy.underlying profile)
+    in
+    Buffer.add_string b (string_of_int diameter);
     Buffer.contents b
 
   (* Deterministic representative: the class keeps its lexicographically
@@ -123,8 +128,8 @@ module Iso_acc = struct
      census's byte-identical-resume contract rests on. *)
   let min_rep a b = if a.rep_key <= b.rep_key then a else b
 
-  let add_weighted acc profile weight =
-    let fp = fingerprint profile in
+  let add_weighted ?diameter acc profile weight =
+    let fp = fingerprint ?diameter profile in
     let bucket = Option.value ~default:[] (Smap.find_opt fp acc.buckets) in
     if bucket = [] then Bbng_obs.Counter.bump c_iso_pruned;
     let g = Strategy.realize profile in
@@ -159,7 +164,7 @@ module Iso_acc = struct
       total = acc.total + weight;
     }
 
-  let add acc profile = add_weighted acc profile 1
+  let add ?diameter acc profile = add_weighted ?diameter acc profile 1
 
   let add_class acc ~rep ~count = add_weighted acc rep count
 

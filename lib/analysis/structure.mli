@@ -55,8 +55,11 @@ module Iso_acc : sig
 
   val empty : t
 
-  val add : t -> Strategy.t -> t
-  (** Classify one profile (weight 1). *)
+  val add : ?diameter:int -> t -> Strategy.t -> t
+  (** Classify one profile (weight 1).  A caller that has already
+      measured the realization's diameter passes it as [?diameter]
+      (it must equal [Cost.social_cost (Strategy.underlying p)]), which
+      saves a second realization and CSR snapshot. *)
 
   val add_class : t -> rep:Strategy.t -> count:int -> t
   (** Re-inject a class deserialized from a checkpoint row: classified
@@ -72,7 +75,7 @@ module Iso_acc : sig
   val class_count : t -> int
   val total : t -> int
 
-  val fingerprint : Strategy.t -> string
+  val fingerprint : ?diameter:int -> Strategy.t -> string
   (** The bucketing invariant (exposed for tests: isomorphic profiles
-      must agree on it). *)
+      must agree on it).  [?diameter] as in {!add}. *)
 end

@@ -29,6 +29,27 @@ type context = {
   current_cost : int;
 }
 
+(* One parked evaluation context per domain, like [Csr.snapshot]'s
+   one-slot memo: a census asks for n contexts per profile over
+   hundreds of thousands of profiles, and re-seating one context
+   ([Deviation_eval.reset]) reuses all of its arrays where [make]
+   would allocate them afresh.  A search takes the context out of the
+   slot for its whole duration, so a nested search on the same domain
+   (or another thread's) finds the slot empty and falls back to a
+   fresh context; the exchange is atomic, so no two searches ever
+   share one.  Parking releases the context first, so it keeps no
+   rows and no profile alive between searches. *)
+let parked : Deviation_eval.t option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+(* a borrowed context goes back in its own option box; a fresh one
+   (the fallback of a nested search) takes the slot over *)
+let park slot borrowed eval_ctx =
+  Deviation_eval.release eval_ctx;
+  match borrowed with
+  | Some _ -> Atomic.set slot borrowed
+  | None -> Atomic.set slot (Some eval_ctx)
+
 (* Context warm-up runs unlimited even when the caller hands us an
    already-expired token: the current cost and the floor are what the
    cheap fallback tiers (cost-floor, Lemma 2.2) compare against, and
@@ -37,27 +58,57 @@ type context = {
 
    [?engine] picks the pricing engine (default: the process-wide
    choice, see Deviation_eval.set_default_choice).  Contexts are
-   per-search state, so parallel certification naturally gets one
+   per-domain state, so parallel certification naturally gets one
    context — and one private row cache — per domain. *)
-let make_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) ?engine game
-    profile player =
+let with_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) ?engine game
+    profile player f =
   let n = Game.n game in
   let budget = Budget.get (Game.budgets game) player in
-  let eval_ctx = Deviation_eval.make ?engine (Game.version game) profile ~player in
-  let in_degree =
-    let count = ref 0 in
-    for i = 0 to n - 1 do
-      if i <> player && Array.exists (fun v -> v = player) (Strategy.strategy profile i)
-      then incr count
-    done;
-    !count
+  let version = Game.version game in
+  let slot = Domain.DLS.get parked in
+  let borrowed = Atomic.exchange slot None in
+  let eval_ctx =
+    match borrowed with
+    | Some c -> (
+        match Deviation_eval.reset ?engine c version profile ~player with
+        | () -> c
+        | exception e ->
+            Atomic.set slot borrowed;
+            raise e)
+    | None -> Deviation_eval.make ?engine version profile ~player
   in
-  let floor =
-    Cost.cost_floor (Game.version game) ~n ~budget ~in_degree
-  in
-  let current_cost = Deviation_eval.current_cost eval_ctx in
-  Deviation_eval.set_budget eval_ctx scan_budget;
-  { game; profile; player; eval_ctx; budget; in_degree; floor; current_cost }
+  let in_degree = ref 0 in
+  for i = 0 to n - 1 do
+    if i <> player then begin
+      let s = Strategy.strategy profile i in
+      for k = 0 to Array.length s - 1 do
+        if s.(k) = player then incr in_degree
+      done
+    end
+  done;
+  let floor = Cost.cost_floor version ~n ~budget ~in_degree:!in_degree in
+  match
+    let current_cost = Deviation_eval.current_cost eval_ctx in
+    Deviation_eval.set_budget eval_ctx scan_budget;
+    f
+      {
+        game;
+        profile;
+        player;
+        eval_ctx;
+        budget;
+        in_degree = !in_degree;
+        floor;
+        current_cost;
+      }
+  with
+  | r ->
+      park slot borrowed eval_ctx;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      park slot borrowed eval_ctx;
+      Printexc.raise_with_backtrace e bt
 
 let eval ctx targets =
   Bbng_obs.Counter.bump c_candidates;
@@ -87,40 +138,58 @@ let unshift_into buf player c =
 let satisfies_lemma_2_2 profile player =
   let n = Strategy.n profile in
   let own = Strategy.strategy profile player in
-  let targets_player i =
-    Array.exists (fun w -> w = player) (Strategy.strategy profile i)
+  (* plain loops, no closures: the certifier runs this for every player
+     the cost floor does not settle *)
+  let targets i w =
+    let s = Strategy.strategy profile i in
+    let found = ref false in
+    for k = 0 to Array.length s - 1 do
+      if s.(k) = w then found := true
+    done;
+    !found
   in
   let mark = Array.make n 0 in
   mark.(player) <- 2;
-  Array.iter (fun v -> mark.(v) <- 1) own;
+  let braced = ref false in
+  for k = 0 to Array.length own - 1 do
+    mark.(own.(k)) <- 1
+  done;
   for i = 0 to n - 1 do
-    if i <> player && targets_player i then mark.(i) <- 1
+    if i <> player && targets i player then begin
+      if mark.(i) = 1 then braced := true;
+      mark.(i) <- 1
+    end
   done;
   let neighbors = ref 0 in
   for v = 0 to n - 1 do
     if mark.(v) = 1 then incr neighbors
   done;
   if !neighbors = n - 1 then true (* c_MAX(u) = 1 *)
-  else if Array.exists targets_player own then false (* braced, c_MAX > 1 *)
+  else if !braced then false (* braced, c_MAX > 1 *)
   else begin
     (* distance-2 reach: an undirected edge into the level-1 set comes
        from an arc in either direction; level-1 marks never change in
        this pass, so one sweep settles every vertex *)
     for i = 0 to n - 1 do
+      let s = Strategy.strategy profile i in
       if mark.(i) = 1 then
-        Array.iter
-          (fun w -> if mark.(w) = 0 then mark.(w) <- 2)
-          (Strategy.strategy profile i)
-      else if
-        mark.(i) = 0
-        && Array.exists (fun w -> mark.(w) = 1) (Strategy.strategy profile i)
-      then mark.(i) <- 2
+        for k = 0 to Array.length s - 1 do
+          if mark.(s.(k)) = 0 then mark.(s.(k)) <- 2
+        done
+      else if mark.(i) = 0 then
+        for k = 0 to Array.length s - 1 do
+          if mark.(s.(k)) = 1 then mark.(i) <- 2
+        done
     done;
-    not (Array.exists (fun m -> m = 0) mark)
+    let all = ref true in
+    for v = 0 to n - 1 do
+      if mark.(v) = 0 then all := false
+    done;
+    !all
   end
 
 let exact ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
   let n = Game.n game in
   let buf = Array.make ctx.budget 0 in
   match
@@ -150,43 +219,53 @@ let scan_for_improvement ctx ~stop_at_first =
     None
   end
   else begin
-    let n = Game.n ctx.game in
+    (* a plain odometer loop rather than [iter_combinations] and an
+       exception: no closure, and the refs stay unboxed *)
+    let m = Game.n ctx.game - 1 and k = ctx.budget in
     let best = ref None in
     let evals = ref 0 in
-    let buf = Array.make ctx.budget 0 in
-    let result =
-      try
-        Combinatorics.iter_combinations ~n:(n - 1) ~k:ctx.budget (fun c ->
-            unshift_into buf ctx.player c;
-            incr evals;
-            let cost = eval ctx buf in
-            if cost < ctx.current_cost then begin
-              Bbng_obs.Counter.bump c_improving;
-              let better_than_best =
-                match !best with None -> true | Some m -> cost < m.cost
-              in
-              if better_than_best then begin
-                let m = { targets = Array.copy buf; cost } in
-                if stop_at_first || cost <= ctx.floor then raise (Found m);
-                best := Some m
-              end
-            end);
-        !best
-      with Found m -> Some m
-    in
+    if k <= m then begin
+      let c = Array.init k Fun.id in
+      let buf = Array.make k 0 in
+      let continue = ref true in
+      while !continue do
+        unshift_into buf ctx.player c;
+        incr evals;
+        let cost = eval ctx buf in
+        if cost < ctx.current_cost then begin
+          Bbng_obs.Counter.bump c_improving;
+          let better_than_best =
+            match !best with None -> true | Some b -> cost < b.cost
+          in
+          if better_than_best then begin
+            best := Some { targets = Array.copy buf; cost };
+            if stop_at_first || cost <= ctx.floor then continue := false
+          end
+        end;
+        if !continue then continue := Combinatorics.next_combination ~n:m c
+      done
+    end;
     record_search_size !evals;
-    result
+    !best
   end
 
+(* The refutation variants hand back the current cost the context
+   already priced, so a certifier reporting "improves c -> c'" never
+   re-prices the profile through the generic route. *)
+let with_current ctx = function
+  | Some m -> Some (m, ctx.current_cost)
+  | None -> None
+
+let exact_refutation ?budget ?engine game profile player =
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+  with_current ctx (scan_for_improvement ctx ~stop_at_first:true)
+
 let exact_improvement ?budget ?engine game profile player =
-  scan_for_improvement
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:true
+  Option.map fst (exact_refutation ?budget ?engine game profile player)
 
 let best_improvement ?budget ?engine game profile player =
-  scan_for_improvement
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:false
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+  scan_for_improvement ctx ~stop_at_first:false
 
 let swap_candidates ctx =
   (* (kept-set, replacement) pairs: drop each owned arc in turn, try
@@ -242,14 +321,15 @@ let swap_scan ctx ~stop_at_first =
   end
 
 let swap_best ?budget ?engine game profile player =
-  swap_scan
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:false
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+  swap_scan ctx ~stop_at_first:false
+
+let swap_refutation ?budget ?engine game profile player =
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+  with_current ctx (swap_scan ctx ~stop_at_first:true)
 
 let first_improving_swap ?budget ?engine game profile player =
-  swap_scan
-    (make_context ?scan_budget:budget ?engine game profile player)
-    ~stop_at_first:true
+  Option.map fst (swap_refutation ?budget ?engine game profile player)
 
 (* --- audited checks: the same ladder, with evidence --- *)
 
@@ -347,7 +427,7 @@ let pruned_audit ctx tier =
   }
 
 let audit_exact ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
   if ctx.current_cost <= ctx.floor then begin
     Bbng_obs.Counter.bump c_pruned_floor;
     pruned_audit ctx Cost_floor
@@ -365,7 +445,7 @@ let audit_exact ?budget ?engine game profile player =
             f (unshift ctx.player c)))
 
 let audit_swap ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
   if ctx.current_cost <= ctx.floor then begin
     Bbng_obs.Counter.bump c_pruned_floor;
     pruned_audit ctx Cost_floor
@@ -377,7 +457,7 @@ let audit_swap ?budget ?engine game profile player =
       (fun f -> List.iter f (swap_candidates ctx))
 
 let greedy ?budget ?engine game profile player =
-  let ctx = make_context ?scan_budget:budget ?engine game profile player in
+  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
   let n = Game.n game in
   let chosen = ref [] in
   let is_chosen v = List.mem v !chosen in

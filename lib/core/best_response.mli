@@ -26,7 +26,13 @@
     choice): the overlay-BFS engine or the distance-row engine.  Both
     are exact, so every result below is engine-independent; audits
     record which engine priced them so a certificate verifier can
-    re-price through the other one. *)
+    re-price through the other one.
+
+    Searches on one domain reuse one parked pricing context
+    ({!Deviation_eval.reset}) instead of building a new one per call;
+    a search running while the context is out (a nested search, or
+    another thread of the domain) gets a fresh context.  Results never
+    depend on which it got. *)
 
 type move = {
   targets : int array;  (** the (sorted) improving strategy *)
@@ -58,6 +64,16 @@ val exact_improvement :
     player is playing a best response.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
+val exact_refutation :
+  ?budget:Bbng_obs.Budgeted.t ->
+  ?engine:Deviation_eval.choice ->
+  Game.t -> Strategy.t -> int -> (move * int) option
+(** {!exact_improvement} paired with the player's current cost, as the
+    search already priced it: [Some (m, c)] with [m.cost < c] and [c]
+    equal to [Game.player_cost].  What the certifier reports in a
+    refutation.
+    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
+
 val best_improvement :
   ?budget:Bbng_obs.Budgeted.t ->
   ?engine:Deviation_eval.choice ->
@@ -81,6 +97,14 @@ val first_improving_swap :
   Game.t -> Strategy.t -> int -> move option
 (** First strict improvement by a single swap, scan order: owned arcs
     increasing, replacement targets increasing.
+    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
+
+val swap_refutation :
+  ?budget:Bbng_obs.Budgeted.t ->
+  ?engine:Deviation_eval.choice ->
+  Game.t -> Strategy.t -> int -> (move * int) option
+(** {!first_improving_swap} paired with the player's current cost, like
+    {!exact_refutation}.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
 (** {1 Audited checks}

@@ -33,34 +33,43 @@ let default_choice () = Atomic.get default
 (* Distance rows of the player-deleted static graph, built lazily one
    BFS at a time.  [rows.(v)] caches dist_{G∖player}(v, ·); [base] is
    the single multi-source row min over staticN(player).  FIFO eviction
-   under [cap] keeps the worst case at O(cap · n) ints. *)
+   under [cap] keeps the worst case at O(cap · n) ints.  [rows] may be
+   longer than the context's [n] (a reused context keeps its largest
+   table); only indices below [n] are ever touched. *)
 type rows_state = {
-  cap : int;
-  rows : int array option array;
+  mutable cap : int;
+  mutable rows : int array option array;
   order : int Queue.t;          (* build order of live cached rows *)
   mutable live : int;
   mutable base : int array option;
+  mutable hits : int;           (* cache hits not yet added to the counter *)
 }
 
+(* Every field that depends on the captured (profile, player) is
+   mutable so {!reset} can re-seat a context without reallocating it:
+   the arrays are capacity-sized (length >= [n], grown on demand) and
+   only their first [n] (or [static_offs.(n)]) cells are meaningful. *)
 type t = {
-  version : Cost.version;
-  player : int;
-  n : int;
-  engine : engine;
+  mutable version : Cost.version;
+  mutable player : int;
+  mutable n : int;
+  mutable engine : engine;
   (* all arcs except the player's owned ones, in flat CSR shape: row u
      is static_targets.[static_offs.(u) .. static_offs.(u+1)).  The
      BFS and min-combine hot loops below are straight int-array scans
      over these two vectors — no per-vertex array chase, no closure. *)
-  static_offs : int array;       (* n + 1 *)
-  static_targets : int array;
-  own : int array;               (* the player's strategy in the profile *)
-  rows_state : rows_state option;  (* Some iff engine = Rows *)
+  mutable static_offs : int array;       (* n + 1 *)
+  mutable static_targets : int array;
+  mutable own : int array;
+      (* the player's strategy in the profile: the profile's own
+         immutable array, shared rather than copied *)
+  mutable rows_state : rows_state option;  (* Some iff engine = Rows *)
   (* reusable scratch: [seen.(v) = stamp] marks validity of [dist.(v)] *)
   mutable stamp : int;
-  seen : int array;
-  dist : int array;
-  queue : int array;
-  comp_seen : int array;         (* second stamp space for kappa *)
+  mutable seen : int array;
+  mutable dist : int array;
+  mutable queue : int array;
+  mutable comp_seen : int array;         (* second stamp space for kappa *)
   (* cooperative cancellation: each evaluation checkpoints the token on
      entry and charges its work after, so a deadline or work limit
      stops a candidate scan between evaluations (a single eval is
@@ -77,78 +86,132 @@ let resolve_choice choice ~budget_size =
   | Fixed e -> e
   | Auto -> if budget_size >= 2 then Rows else Bfs_overlay
 
-let make ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap version
-    profile ~player =
+let create () =
+  {
+    version = Cost.Sum;
+    player = 0;
+    n = 0;
+    engine = Bfs_overlay;
+    static_offs = [| 0 |];
+    static_targets = [| 0 |];
+    own = [||];
+    rows_state = None;
+    stamp = 0;
+    seen = [||];
+    dist = [||];
+    queue = [| 0 |];
+    comp_seen = [||];
+    budget = Bbng_obs.Budgeted.unlimited;
+  }
+
+(* Forget every cached row (the table itself stays for the next
+   profile).  Only live rows can be non-[None], and [order] lists
+   exactly those, so clearing costs O(live), not O(n). *)
+let clear_rows rs =
+  Queue.iter (fun v -> rs.rows.(v) <- None) rs.order;
+  Queue.clear rs.order;
+  rs.live <- 0;
+  rs.base <- None;
+  (* hits an interrupted evaluation never flushed *)
+  if rs.hits > 0 then begin
+    Bbng_obs.Counter.add c_row_hits rs.hits;
+    rs.hits <- 0
+  end
+
+let release t =
+  (match t.rows_state with Some rs -> clear_rows rs | None -> ());
+  t.own <- [||];
+  t.budget <- Bbng_obs.Budgeted.unlimited
+
+let reset ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap t
+    version profile ~player =
   Bbng_obs.Counter.bump c_contexts;
   let n = Strategy.n profile in
   if player < 0 || player >= n then invalid_arg "Deviation_eval.make: bad player";
-  let deg = Array.make n 0 in
-  let bump u v =
-    deg.(u) <- deg.(u) + 1;
-    deg.(v) <- deg.(v) + 1
-  in
+  (* vertex-indexed scratch: grown (never shrunk) to the new n; the
+     stamp keeps counting, so stale marks in reused cells stay stale *)
+  if Array.length t.seen < n then begin
+    t.seen <- Array.make n 0;
+    t.dist <- Array.make n 0;
+    t.queue <- Array.make n 0;
+    t.comp_seen <- Array.make n 0;
+    t.static_offs <- Array.make (n + 1) 0
+  end;
+  (* static CSR: count degrees into [static_offs.(u + 1)], prefix-sum,
+     then fill through a cursor kept in [dist] (free scratch between
+     evaluations: no cell of it is read before an evaluation writes it) *)
+  let offs = t.static_offs in
+  Array.fill offs 0 (n + 1) 0;
   for i = 0 to n - 1 do
-    if i <> player then Array.iter (fun j -> bump i j) (Strategy.strategy profile i)
+    if i <> player then begin
+      let s = Strategy.strategy profile i in
+      offs.(i + 1) <- offs.(i + 1) + Array.length s;
+      for k = 0 to Array.length s - 1 do
+        offs.(s.(k) + 1) <- offs.(s.(k) + 1) + 1
+      done
+    end
   done;
-  let static_offs = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    static_offs.(i + 1) <- static_offs.(i) + deg.(i)
+    offs.(i + 1) <- offs.(i) + offs.(i + 1)
   done;
-  let static_targets = Array.make (max static_offs.(n) 1) 0 in
-  let fill = Array.sub static_offs 0 n in
-  let add u v =
-    static_targets.(fill.(u)) <- v;
-    fill.(u) <- fill.(u) + 1
-  in
+  if Array.length t.static_targets < offs.(n) then
+    t.static_targets <- Array.make offs.(n) 0;
+  let adj = t.static_targets and fill = t.dist in
+  Array.blit offs 0 fill 0 n;
   for i = 0 to n - 1 do
-    if i <> player then
-      Array.iter
-        (fun j ->
-          add i j;
-          add j i)
-        (Strategy.strategy profile i)
+    if i <> player then begin
+      let s = Strategy.strategy profile i in
+      for k = 0 to Array.length s - 1 do
+        let j = s.(k) in
+        adj.(fill.(i)) <- j;
+        fill.(i) <- fill.(i) + 1;
+        adj.(fill.(j)) <- i;
+        fill.(j) <- fill.(j) + 1
+      done
+    end
   done;
-  let own = Array.copy (Strategy.strategy profile player) in
+  let own = Strategy.strategy profile player in
   let choice =
     match engine with Some c -> c | None -> Atomic.get default
   in
   let engine = resolve_choice choice ~budget_size:(Array.length own) in
-  let rows_state =
-    match engine with
-    | Bfs_overlay -> None
-    | Rows ->
-        (* default cap: whole-row cache up to ~8M ints (64 MB), never
-           below 16 rows — at paper scales this never evicts *)
-        let cap =
-          match row_cache_cap with
-          | Some c -> max 1 c
-          | None -> max 16 (8_388_608 / max n 1)
-        in
-        Some
-          {
-            cap;
-            rows = Array.make n None;
-            order = Queue.create ();
-            live = 0;
-            base = None;
-          }
-  in
-  {
-    version;
-    player;
-    n;
-    engine;
-    static_offs;
-    static_targets;
-    own;
-    rows_state;
-    stamp = 0;
-    seen = Array.make n 0;
-    dist = Array.make n 0;
-    queue = Array.make (max n 1) 0;
-    comp_seen = Array.make n 0;
-    budget;
-  }
+  (match engine with
+  | Bfs_overlay -> t.rows_state <- None
+  | Rows ->
+      (* default cap: whole-row cache up to ~8M ints (64 MB), never
+         below 16 rows — at paper scales this never evicts *)
+      let cap =
+        match row_cache_cap with
+        | Some c -> max 1 c
+        | None -> max 16 (8_388_608 / max n 1)
+      in
+      t.rows_state <-
+        (match t.rows_state with
+        | Some rs when Array.length rs.rows >= n ->
+            clear_rows rs;
+            rs.cap <- cap;
+            Some rs
+        | _ ->
+            Some
+              {
+                cap;
+                rows = Array.make n None;
+                order = Queue.create ();
+                live = 0;
+                base = None;
+                hits = 0;
+              }));
+  t.version <- version;
+  t.player <- player;
+  t.n <- n;
+  t.engine <- engine;
+  t.own <- own;
+  t.budget <- budget
+
+let make ?budget ?engine ?row_cache_cap version profile ~player =
+  let t = create () in
+  reset ?budget ?engine ?row_cache_cap t version profile ~player;
+  t
 
 let player t = t.player
 let version t = t.version
@@ -164,21 +227,23 @@ let set_budget t budget = t.budget <- budget
 let unreached_components t =
   let comps = ref 0 in
   let stamp = t.stamp in
+  let seen = t.seen and comp_seen = t.comp_seen and queue = t.queue in
+  let offs = t.static_offs and adj = t.static_targets in
   for start = 0 to t.n - 1 do
-    if t.seen.(start) <> stamp && t.comp_seen.(start) <> stamp then begin
+    if seen.(start) <> stamp && comp_seen.(start) <> stamp then begin
       incr comps;
       (* small DFS with the shared queue as a stack *)
       let top = ref 1 in
-      t.queue.(0) <- start;
-      t.comp_seen.(start) <- stamp;
+      queue.(0) <- start;
+      comp_seen.(start) <- stamp;
       while !top > 0 do
         decr top;
-        let u = t.queue.(!top) in
-        for k = t.static_offs.(u) to t.static_offs.(u + 1) - 1 do
-          let v = t.static_targets.(k) in
-          if t.seen.(v) <> stamp && t.comp_seen.(v) <> stamp then begin
-            t.comp_seen.(v) <- stamp;
-            t.queue.(!top) <- v;
+        let u = queue.(!top) in
+        for k = offs.(u) to offs.(u + 1) - 1 do
+          let v = adj.(k) in
+          if seen.(v) <> stamp && comp_seen.(v) <> stamp then begin
+            comp_seen.(v) <- stamp;
+            queue.(!top) <- v;
             incr top
           end
         done
@@ -206,38 +271,48 @@ let overlay_cost t targets =
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
   let offs = t.static_offs and adj = t.static_targets in
-  let head = ref 0 and tail = ref 0 in
-  let visit v d =
-    if t.seen.(v) <> stamp then begin
-      t.seen.(v) <- stamp;
-      t.dist.(v) <- d;
-      t.queue.(!tail) <- v;
+  let seen = t.seen and dist = t.dist and queue = t.queue in
+  (* closure-free: this runs once per candidate, so the seeding below
+     is spelled out instead of going through a local [visit] *)
+  let tail = ref 0 in
+  seen.(t.player) <- stamp;
+  dist.(t.player) <- 0;
+  queue.(0) <- t.player;
+  tail := 1;
+  (* the player's tentative arcs only matter as first steps *)
+  for k = 0 to Array.length targets - 1 do
+    let v = targets.(k) in
+    if seen.(v) <> stamp then begin
+      seen.(v) <- stamp;
+      dist.(v) <- 1;
+      queue.(!tail) <- v;
       incr tail
     end
-  in
-  visit t.player 0;
-  (* the player's tentative arcs only matter as first steps *)
-  Array.iter (fun v -> visit v 1) targets;
+  done;
   for k = offs.(t.player) to offs.(t.player + 1) - 1 do
-    visit adj.(k) 1
+    let v = adj.(k) in
+    if seen.(v) <> stamp then begin
+      seen.(v) <- stamp;
+      dist.(v) <- 1;
+      queue.(!tail) <- v;
+      incr tail
+    end
   done;
   (* skip the player itself in the queue: position 0 *)
-  head := 0;
+  let head = ref 1 in
   while !head < !tail do
-    let u = t.queue.(!head) in
+    let u = queue.(!head) in
     incr head;
-    if u <> t.player then begin
-      let du1 = t.dist.(u) + 1 in
-      for k = offs.(u) to offs.(u + 1) - 1 do
-        let v = adj.(k) in
-        if t.seen.(v) <> stamp then begin
-          t.seen.(v) <- stamp;
-          t.dist.(v) <- du1;
-          t.queue.(!tail) <- v;
-          incr tail
-        end
-      done
-    end
+    let du1 = dist.(u) + 1 in
+    for k = offs.(u) to offs.(u + 1) - 1 do
+      let v = adj.(k) in
+      if seen.(v) <> stamp then begin
+        seen.(v) <- stamp;
+        dist.(v) <- du1;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
   done;
   let reached = !tail in
   Bbng_obs.Budgeted.spend t.budget reached;
@@ -246,14 +321,14 @@ let overlay_cost t targets =
   | Cost.Sum ->
       let acc = ref 0 in
       for i = 0 to reached - 1 do
-        acc := !acc + t.dist.(t.queue.(i))
+        acc := !acc + dist.(queue.(i))
       done;
       !acc + ((t.n - reached) * inf)
   | Cost.Max ->
       if reached = t.n then begin
         let acc = ref 0 in
         for i = 0 to reached - 1 do
-          if t.dist.(t.queue.(i)) > !acc then acc := t.dist.(t.queue.(i))
+          if dist.(queue.(i)) > !acc then acc := dist.(queue.(i))
         done;
         !acc
       end
@@ -273,17 +348,19 @@ let overlay_cost t targets =
    never leaves a torn row. *)
 let finish_row t row tail0 =
   let inf = t.n * t.n in
+  (* the context's fields are mutable (see [reset]): read them once *)
   let offs = t.static_offs and adj = t.static_targets in
+  let queue = t.queue and player = t.player in
   let head = ref 0 and tail = ref tail0 in
   while !head < !tail do
-    let u = t.queue.(!head) in
+    let u = queue.(!head) in
     incr head;
     let du1 = row.(u) + 1 in
     for k = offs.(u) to offs.(u + 1) - 1 do
       let v = adj.(k) in
-      if v <> t.player && row.(v) = inf then begin
+      if v <> player && row.(v) = inf then begin
         row.(v) <- du1;
-        t.queue.(!tail) <- v;
+        queue.(!tail) <- v;
         incr tail
       end
     done
@@ -340,6 +417,13 @@ let miss_row t rs target =
   rs.live <- rs.live + 1;
   row
 
+let cached_row t rs target =
+  match rs.rows.(target) with
+  | Some r ->
+      rs.hits <- rs.hits + 1;
+      r
+  | None -> miss_row t rs target
+
 (* The (b+1)-way min-combine is the per-candidate hot path — a full
    exhaustive scan runs it C(n-1, b) times — so the ubiquitous b <= 2
    cases are unrolled: no trows allocation and no inner k-loop.  Two
@@ -348,7 +432,8 @@ let miss_row t rs target =
    player test — the player falls out of the [m < inf] branch and is
    pre-counted in [reached]; and cache-hit accounting is batched into
    one atomic [Counter.add] per evaluation instead of one bump per
-   target.  The reach set is not marked here either: only the MAX
+   target, through a tally in the row state rather than a local ref
+   and closure, so an evaluation allocates nothing.  The reach set is not marked here either: only the MAX
    disconnection walk needs the mark, and that rare path re-derives it
    from the cache-hot rows.  Rows are held by reference throughout: a
    cache eviction while gathering the next row cannot invalidate one
@@ -360,14 +445,6 @@ let rows_cost t rs targets =
   let b = Array.length targets in
   let reached = ref 1 in
   let sum = ref 0 and mx = ref 0 in
-  let hits = ref 0 in
-  let row tg =
-    match rs.rows.(tg) with
-    | Some r ->
-        incr hits;
-        r
-    | None -> miss_row t rs tg
-  in
   (match b with
   | 0 ->
       for v = 0 to n - 1 do
@@ -380,13 +457,7 @@ let rows_cost t rs targets =
         end
       done
   | 1 ->
-      let r0 =
-        match rs.rows.(targets.(0)) with
-        | Some r ->
-            incr hits;
-            r
-        | None -> miss_row t rs targets.(0)
-      in
+      let r0 = cached_row t rs targets.(0) in
       for v = 0 to n - 1 do
         let m = base.(v) in
         let d0 = r0.(v) in
@@ -399,20 +470,8 @@ let rows_cost t rs targets =
         end
       done
   | 2 ->
-      let r0 =
-        match rs.rows.(targets.(0)) with
-        | Some r ->
-            incr hits;
-            r
-        | None -> miss_row t rs targets.(0)
-      in
-      let r1 =
-        match rs.rows.(targets.(1)) with
-        | Some r ->
-            incr hits;
-            r
-        | None -> miss_row t rs targets.(1)
-      in
+      let r0 = cached_row t rs targets.(0) in
+      let r1 = cached_row t rs targets.(1) in
       for v = 0 to n - 1 do
         let m = base.(v) in
         let d0 = r0.(v) in
@@ -427,7 +486,7 @@ let rows_cost t rs targets =
         end
       done
   | _ ->
-      let trows = Array.map row targets in
+      let trows = Array.map (cached_row t rs) targets in
       for v = 0 to n - 1 do
         let m = ref base.(v) in
         for k = 0 to b - 1 do
@@ -453,7 +512,7 @@ let rows_cost t rs targets =
              (they were just combined; a rebuild after an eviction is
              deterministic, so the mark equals the combine's reach set
              either way). *)
-          let trows = Array.map row targets in
+          let trows = Array.map (cached_row t rs) targets in
           t.stamp <- t.stamp + 1;
           let stamp = t.stamp in
           t.seen.(t.player) <- stamp;
@@ -469,7 +528,10 @@ let rows_cost t rs targets =
           inf + ((kappa - 1) * inf)
         end
   in
-  if !hits > 0 then Bbng_obs.Counter.add c_row_hits !hits;
+  if rs.hits > 0 then begin
+    Bbng_obs.Counter.add c_row_hits rs.hits;
+    rs.hits <- 0
+  end;
   result
 
 let cost t targets =

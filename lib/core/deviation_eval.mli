@@ -81,7 +81,35 @@ val make :
     [deveval.row_hits] / [deveval.rows_evicted] counters.
 
     A context is single-domain state: parallel certification gives each
-    domain its own context, rows are never shared across domains. *)
+    domain its own context, rows are never shared across domains.
+    Every call returns a fresh context owned by the caller alone. *)
+
+val reset :
+  ?budget:Bbng_obs.Budgeted.t ->
+  ?engine:choice ->
+  ?row_cache_cap:int ->
+  t ->
+  Cost.version ->
+  Strategy.t ->
+  player:int ->
+  unit
+(** [reset ctx version profile ~player] re-seats [ctx] on a new
+    profile and player, exactly as if it were [make]'s result with the
+    same arguments ([make] is a fresh context followed by [reset]).
+    The scratch arrays, the static adjacency and the row table are
+    reused, growing only when the new profile is larger; cached rows
+    are dropped and the token is replaced.  O(n + m), with no
+    allocation once the context has seen a profile at least this
+    large.  Valid at any point, including after a scan interrupted by
+    {!Bbng_obs.Budgeted.Expired}.
+    @raise Invalid_argument on an out-of-range player (the context is
+    left unchanged). *)
+
+val release : t -> unit
+(** Drops the context's cached rows, its reference to the profile's
+    strategy and its token, so a context parked for reuse pins no
+    memory beyond its scratch arrays.  A released context must be
+    {!reset} before its next {!cost}. *)
 
 val player : t -> int
 val version : t -> Cost.version

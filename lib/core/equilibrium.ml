@@ -25,35 +25,33 @@ type verdict =
   | Refuted of refutation
   | Degraded of int list
 
-let certify_with deviation_finder game profile =
+(* [refuter] returns an improving move together with the current cost
+   its search context already priced ([Best_response.exact_refutation]
+   and friends), so a refutation costs no second pricing of the
+   profile. *)
+let certify_with refuter game profile =
   let n = Game.n game in
   let rec scan player =
     if player >= n then Equilibrium
     else
-      match check_player deviation_finder game profile player with
-      | Some better ->
+      match check_player refuter game profile player with
+      | Some (better, current_cost) ->
           if player < n - 1 then Bbng_obs.Counter.bump c_early_exits;
-          Refuted { player; better; current_cost = Game.player_cost game profile player }
+          Refuted { player; better; current_cost }
       | None -> scan (player + 1)
   in
   scan 0
 
-let certify game profile = certify_with Best_response.exact_improvement game profile
+let certify game profile = certify_with Best_response.exact_refutation game profile
 let is_nash game profile = certify game profile = Equilibrium
 
 let certify_parallel ?domains game profile =
   let n = Game.n game in
   let witness =
     Parallel.find_map ?domains ~n (fun player ->
-        match check_player Best_response.exact_improvement game profile player with
-        | Some better ->
-            Some
-              (Refuted
-                 {
-                   player;
-                   better;
-                   current_cost = Game.player_cost game profile player;
-                 })
+        match check_player Best_response.exact_refutation game profile player with
+        | Some (better, current_cost) ->
+            Some (Refuted { player; better; current_cost })
         | None -> None)
   in
   (match witness with Some _ -> Bbng_obs.Counter.bump c_early_exits | None -> ());
@@ -65,7 +63,7 @@ let is_nash_parallel ?domains game profile =
       check_player Best_response.exact_improvement game profile player = None)
 
 let certify_swap game profile =
-  certify_with Best_response.first_improving_swap game profile
+  certify_with Best_response.swap_refutation game profile
 
 let is_swap_stable game profile = certify_swap game profile = Equilibrium
 
@@ -822,26 +820,26 @@ let pp_verdict ppf = function
            Format.pp_print_int)
         unresolved
 
-let iter_profiles budgets f =
+let count_profiles budgets =
   let n = Budget.n budgets in
-  let strategies = Array.make n [||] in
-  let unshift player c =
-    Array.map (fun i -> if i < player then i else i + 1) c
-  in
-  let rec assign player =
-    if player = n then f (Strategy.make budgets (Array.map Array.copy strategies))
-    else
-      Combinatorics.iter_combinations ~n:(n - 1) ~k:(Budget.get budgets player)
-        (fun c ->
-          strategies.(player) <- unshift player c;
-          assign (player + 1))
-  in
-  assign 0
+  let acc = ref 1 in
+  for i = 0 to n - 1 do
+    let c = Combinatorics.binomial_sat (n - 1) (Budget.get budgets i) in
+    acc := if !acc > 0 && c > max_int / !acc then max_int else !acc * c
+  done;
+  !acc
 
-(* Resumable slice of the profile space: profile index [lo, hi) in the
-   mixed-radix order of [iter_profiles] (player 0 is the most
-   significant digit, each digit a combination rank).  A census shard
-   is exactly such a pair, so restarting one needs no state beyond it. *)
+(* Resumable slice of the profile space: profile index [lo, hi) in
+   lexicographic mixed-radix order (player 0 is the most significant
+   digit, each digit a combination rank).  A census shard is exactly
+   such a pair, so restarting one needs no state beyond it.
+
+   Per emitted profile the odometer allocates only what the callback
+   may keep: the outer strategy array and the profile record, plus one
+   fresh row per digit that moved.  Rows are never mutated once
+   emitted, so consecutive profiles share the rows of the digits that
+   stayed put, and nothing is re-validated — every row is a shifted
+   combination, valid by construction. *)
 let iter_profiles_range budgets ~lo ~hi f =
   let n = Budget.n budgets in
   let radices =
@@ -874,25 +872,32 @@ let iter_profiles_range budgets ~lo ~hi f =
           Combinatorics.unrank_combination ~n:(n - 1)
             ~k:(Budget.get budgets i) digits.(i))
     in
-    let unshift player c =
-      Array.map (fun i -> if i < player then i else i + 1) c
+    (* subsets of {0..n-2} shifted past the player into a fresh row *)
+    let shifted player =
+      let c = combos.(player) in
+      let row = Array.make (Array.length c) 0 in
+      for j = 0 to Array.length c - 1 do
+        let x = c.(j) in
+        row.(j) <- (if x < player then x else x + 1)
+      done;
+      row
     in
-    let strategies = Array.init n (fun i -> unshift i combos.(i)) in
-    let emit () =
-      f (Strategy.make budgets (Array.map Array.copy strategies))
-    in
+    let strategies = Array.init n shifted in
+    let emit () = f (Strategy.unsafe_of_sorted budgets (Array.copy strategies)) in
     (* odometer step: advance the least significant digit that has a
        successor, reset the suffix to first combinations *)
     let rec advance i =
       if i < 0 then false
       else if Combinatorics.next_combination ~n:(n - 1) combos.(i) then begin
-        strategies.(i) <- unshift i combos.(i);
+        strategies.(i) <- shifted i;
         true
       end
       else begin
         let c = combos.(i) in
-        Array.iteri (fun j _ -> c.(j) <- j) c;
-        strategies.(i) <- unshift i c;
+        for j = 0 to Array.length c - 1 do
+          c.(j) <- j
+        done;
+        strategies.(i) <- shifted i;
         advance (i - 1)
       end
     in
@@ -905,14 +910,8 @@ let iter_profiles_range budgets ~lo ~hi f =
     done
   end
 
-let count_profiles budgets =
-  let n = Budget.n budgets in
-  let acc = ref 1 in
-  for i = 0 to n - 1 do
-    let c = Combinatorics.binomial_sat (n - 1) (Budget.get budgets i) in
-    acc := if !acc > 0 && c > max_int / !acc then max_int else !acc * c
-  done;
-  !acc
+let iter_profiles budgets f =
+  iter_profiles_range budgets ~lo:0 ~hi:(count_profiles budgets) f
 
 exception Limit_reached
 

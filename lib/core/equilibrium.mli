@@ -170,8 +170,13 @@ val verify_certificate : ?samples:int -> certificate -> (unit, string) result
 (** {1 Exhaustive enumeration (small instances)} *)
 
 val iter_profiles : Budget.t -> (Strategy.t -> unit) -> unit
-(** Every strategy profile of the instance, lexicographically.  The
-    count is [prod_i C(n-1, b_i)]: practical for [n <= 6]-ish. *)
+(** Every strategy profile of the instance, lexicographically (player
+    0's strategy is the most significant digit); exactly
+    [iter_profiles_range ~lo:0 ~hi:(count_profiles budgets)].  The
+    count is [prod_i C(n-1, b_i)]: practical for [n <= 7]-ish.  Each
+    callback receives a fresh profile it may keep.
+    @raise Invalid_argument on a saturated profile space (more than
+    [max_int] profiles), which no enumeration could finish. *)
 
 val iter_profiles_range :
   Budget.t -> lo:int -> hi:int -> (Strategy.t -> unit) -> unit

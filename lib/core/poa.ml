@@ -62,16 +62,6 @@ let canonical_low_diameter_realization budgets =
     Strategy.make budgets (Array.map Array.of_list targets)
   end
 
-let opt_diameter_exact ?(max_profiles = 2_000_000) budgets =
-  if Equilibrium.count_profiles budgets > max_profiles then None
-  else begin
-    let best = ref max_int in
-    Equilibrium.iter_profiles budgets (fun p ->
-        let d = Cost.social_cost (Strategy.underlying p) in
-        if d < !best then best := d);
-    Some !best
-  end
-
 let opt_diameter_bounds budgets =
   let n = Budget.n budgets in
   if n = 1 then (0, 0)
@@ -85,6 +75,28 @@ let opt_diameter_bounds budgets =
     let hi = Cost.social_cost (Strategy.underlying witness) in
     (lo, hi)
   end
+
+(* [lo] is a lower bound for every realization and [hi] is the
+   diameter of a realization, so lo = hi settles OPT with no
+   enumeration — the common case: two-diameter witnesses of
+   connectable instances with sigma < n(n-1)/2, and every subcritical
+   or single-vertex instance.  Otherwise a profile reaching [lo] is
+   optimal too, which ends the enumeration early. *)
+let opt_diameter_exact ?(max_profiles = 2_000_000) budgets =
+  if Equilibrium.count_profiles budgets > max_profiles then None
+  else
+    let lo, hi = opt_diameter_bounds budgets in
+    if lo = hi then Some lo
+    else begin
+      let best = ref max_int in
+      (try
+         Equilibrium.iter_profiles budgets (fun p ->
+             let d = Cost.social_cost (Strategy.underlying p) in
+             if d < !best then best := d;
+             if d <= lo then raise Exit)
+       with Exit -> ());
+      Some !best
+    end
 
 type ratio = { num : int; den : int }
 

@@ -21,8 +21,12 @@ val canonical_low_diameter_realization : Budget.t -> Strategy.t
     exactly possible); leftovers are dumped on arbitrary fresh targets. *)
 
 val opt_diameter_exact : ?max_profiles:int -> Budget.t -> int option
-(** Exact OPT by profile enumeration; [None] if the instance has more
-    than [max_profiles] (default [2_000_000]) profiles. *)
+(** Exact OPT; [None] if the instance has more than [max_profiles]
+    (default [2_000_000]) profiles, whether or not the answer would
+    need them.  When {!opt_diameter_bounds} gives [lo = hi] the answer
+    is [lo] at once: [lo <= OPT] for every realization, and the
+    canonical witness realizes [hi].  Otherwise profiles are
+    enumerated until one reaches [lo] (or all are seen). *)
 
 val opt_diameter_bounds : Budget.t -> int * int
 (** [(lo, hi)] with [lo <= OPT <= hi]:

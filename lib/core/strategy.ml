@@ -33,6 +33,8 @@ let make budgets s =
   in
   { budgets; strategies }
 
+let unsafe_of_sorted budgets strategies = { budgets; strategies }
+
 let n p = Budget.n p.budgets
 let budgets p = p.budgets
 let strategy p i = p.strategies.(i)

@@ -15,6 +15,14 @@ val make : Budget.t -> int array array -> t
     normalizes each to sorted order.
     @raise Invalid_argument otherwise. *)
 
+val unsafe_of_sorted : Budget.t -> int array array -> t
+(** [unsafe_of_sorted budgets s] is [make budgets s] {e without} the
+    validation pass, for generators whose output is valid by
+    construction (the profile odometer): the caller guarantees every
+    [s.(i)] is sorted, duplicate-free, in range, free of [i] and of
+    length [Budget.get budgets i].  [s] and its rows are captured, not
+    copied: the caller must never mutate them afterwards. *)
+
 val n : t -> int
 
 val budgets : t -> Budget.t

@@ -81,3 +81,31 @@ let random_profile_of (n, total, seed) =
   let st = rng seed in
   let b = Budget.random_partition st ~n ~total in
   Strategy.random st b
+
+(* The recursive profile enumerator, kept as the ordering oracle for
+   [Equilibrium.iter_profiles] (an odometer over combination ranks):
+   every profile, player 0's strategy most significant, each strategy
+   a combination of the other players in lexicographic order. *)
+let oracle_iter_profiles budgets f =
+  let n = Budget.n budgets in
+  let strategies = Array.make n [||] in
+  let unshift player c =
+    Array.map (fun i -> if i < player then i else i + 1) c
+  in
+  let rec assign player =
+    if player = n then f (Strategy.make budgets (Array.map Array.copy strategies))
+    else
+      Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1)
+        ~k:(Budget.get budgets player) (fun c ->
+          strategies.(player) <- unshift player c;
+          assign (player + 1))
+  in
+  assign 0
+
+(* exhaustive OPT over [oracle_iter_profiles]: the minimum diameter of
+   any realization, with no bounds and no early exit *)
+let oracle_opt_diameter budgets =
+  let best = ref max_int in
+  oracle_iter_profiles budgets (fun p ->
+      best := min !best (Cost.social_cost (Strategy.underlying p)));
+  !best

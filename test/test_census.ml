@@ -84,6 +84,35 @@ let test_poa () =
       check_true "ratio >= 1" (Poa.ratio_to_float r >= 1.0)
   | None -> Alcotest.fail "expected a PoA"
 
+let test_census_cost_guard () =
+  (* counted, host-independent guard on the census fast path, unit n=6
+     SUM (15,625 profiles): the scan plus the PoA may allocate at most
+     400 minor words per profile, and may build CSR snapshots only for
+     what needs a diameter — one per equilibrium, one per iso class
+     per shard (the merge re-fingerprints each shard's classes), one
+     for the OPT witness.  A refutation that re-prices through the
+     generic route, or an OPT pass that enumerates, breaks both. *)
+  let game = Game.make Cost.Sum (Budget.unit_budgets 6) in
+  let snapshots () = Bbng_obs.Counter.find "csr.snapshots_built" in
+  let s0 = snapshots () in
+  let w0 = Gc.minor_words () in
+  let c = complete_exn (Census.run_sharded ~domains:1 game) in
+  let poa = Census.price_of_anarchy c in
+  let words = Gc.minor_words () -. w0 in
+  let built = snapshots () - s0 in
+  check_true "PoA found" (poa <> None);
+  let per_profile = words /. float_of_int c.Census.total_profiles in
+  if per_profile > 400. then
+    Alcotest.failf "census allocates %.1f minor words/profile (> 400)"
+      per_profile;
+  let classes = List.length c.Census.iso_classes in
+  let shards = (Census.make_plan game).Census.num_shards in
+  let allowed = c.Census.equilibria + (shards * classes) + 1 in
+  if built > allowed then
+    Alcotest.failf
+      "census built %d CSR snapshots (> %d = %d NE + %d shards x %d classes + 1)"
+      built allowed c.Census.equilibria shards classes
+
 let test_empty_census () =
   (* subcritical instance: equilibria exist (disconnected ones) *)
   let game = Game.make Cost.Sum (Budget.of_list [ 0; 0; 1; 0 ]) in
@@ -511,6 +540,7 @@ let test_work_budget_expiry_is_partial () =
 
 let suite =
   [
+    case "census cost guard (unit n=6)" test_census_cost_guard;
     case "unit n=3" test_unit3;
     slow_case "unit n=4" test_unit4;
     slow_case "representatives are Nash" test_representatives_are_nash;

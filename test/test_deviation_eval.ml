@@ -225,6 +225,91 @@ let prop_current_cost_equivalent =
           = Deviation_eval.current_cost (ctx version p player))
         Cost.all_versions)
 
+(* every b-subset of the players other than [player] *)
+let all_candidates n player b =
+  let acc = ref [] in
+  Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+      acc := Array.map (fun i -> if i < player then i else i + 1) c :: !acc);
+  List.rev !acc
+
+let prop_reset_equals_fresh =
+  (* one context re-seated through a random sequence of (profile,
+     player, engine) triples — across growing and shrinking n, after
+     row evictions under a cap of 1, and after a scan cut short by an
+     expired token — prices every candidate exactly like a fresh
+     [make] on the same triple *)
+  let module Budgeted = Bbng_obs.Budgeted in
+  qcheck ~count:100 "reset context == fresh make"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 100_000))
+    (fun seed ->
+      let st = rng seed in
+      let reused = ref None in
+      List.for_all
+        (fun _ ->
+          let n = 2 + Random.State.int st 7 in
+          let total = Random.State.int st ((n * (n - 1)) + 1) in
+          let b = Budget.random_partition st ~n ~total in
+          let p = Strategy.random st b in
+          let player = Random.State.int st n in
+          let version = if Random.State.bool st then Cost.Sum else Cost.Max in
+          let engine =
+            match Random.State.int st 3 with
+            | 0 -> Deviation_eval.Auto
+            | 1 -> fixed Deviation_eval.Rows
+            | _ -> fixed Deviation_eval.Bfs_overlay
+          in
+          let row_cache_cap = if Random.State.bool st then Some 1 else None in
+          let ctx =
+            match !reused with
+            | None ->
+                let c =
+                  Deviation_eval.make ~engine ?row_cache_cap version p ~player
+                in
+                reused := Some c;
+                c
+            | Some c ->
+                Deviation_eval.reset ~engine ?row_cache_cap c version p ~player;
+                c
+          in
+          let fresh = Deviation_eval.make ~engine version p ~player in
+          let candidates = all_candidates n player (Budget.get b player) in
+          let agree =
+            Deviation_eval.engine ctx = Deviation_eval.engine fresh
+            && Deviation_eval.player ctx = player
+            && Deviation_eval.current_cost ctx = Deviation_eval.current_cost fresh
+            && List.for_all
+                 (fun t -> Deviation_eval.cost ctx t = Deviation_eval.cost fresh t)
+                 candidates
+          in
+          (* leave the context mid-scan half the time: a token that
+             trips after a little work interrupts the next pass *)
+          if Random.State.bool st then begin
+            Deviation_eval.set_budget ctx
+              (Budgeted.create ~work_limit:(Random.State.int st (2 * n)) ());
+            try List.iter (fun t -> ignore (Deviation_eval.cost ctx t)) candidates
+            with Budgeted.Expired -> ()
+          end;
+          agree)
+        (List.init 6 Fun.id))
+
+let test_release_then_reset () =
+  (* a released context holds no rows; re-seated, it prices as new *)
+  let p = Bbng_constructions.Tripod.profile ~k:3 in
+  let c = rows_of Cost.Sum p 0 in
+  let fresh = rows_of Cost.Sum p 0 in
+  ignore (Deviation_eval.cost c [| 1; 2 |]);
+  Deviation_eval.release c;
+  Deviation_eval.reset ~engine:(fixed Deviation_eval.Rows) c Cost.Sum p ~player:0;
+  let built0 = Bbng_obs.Counter.find "deveval.rows_built" in
+  check_int "same price" (Deviation_eval.cost fresh [| 1; 2 |])
+    (Deviation_eval.cost c [| 1; 2 |]);
+  check_true "rows were rebuilt after release"
+    (Bbng_obs.Counter.find "deveval.rows_built" > built0);
+  check_true "bad player rejected"
+    (match Deviation_eval.reset c Cost.Sum p ~player:(Strategy.n p) with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 let suite =
   [
     case "accessors" test_accessors;
@@ -242,4 +327,6 @@ let suite =
     prop_rows_equals_bfs;
     prop_equivalent_to_generic;
     prop_current_cost_equivalent;
+    prop_reset_equals_fresh;
+    case "release then reset" test_release_then_reset;
   ]

@@ -147,14 +147,17 @@ let profiles_in_range b ~lo ~hi =
       acc := Strategy.to_string p :: !acc);
   List.rev !acc
 
+let oracle_profiles b =
+  let all = ref [] in
+  oracle_iter_profiles b (fun p -> all := Strategy.to_string p :: !all);
+  List.rev !all
+
 let test_iter_profiles_range_replays () =
   let b = Budget.of_list [ 2; 1; 1; 0 ] in
   let total = Equilibrium.count_profiles b in
-  let all = ref [] in
-  Equilibrium.iter_profiles b (fun p -> all := Strategy.to_string p :: !all);
-  let all = List.rev !all in
+  let all = oracle_profiles b in
   check_int "space size" total (List.length all);
-  check_true "full range = iter_profiles"
+  check_true "full range = the recursive oracle"
     (profiles_in_range b ~lo:0 ~hi:total = all);
   (* every split point partitions the enumeration *)
   List.iter
@@ -179,6 +182,28 @@ let test_iter_profiles_range_guards () =
   Equilibrium.iter_profiles_range b ~lo:4 ~hi:4 (fun _ ->
       Alcotest.fail "empty range produced a profile")
 
+let test_iter_profiles_rejects_saturated () =
+  (* 64 players with 32 arcs each: C(63,32)^64 profiles overflow an
+     int, so no enumeration could finish — refused up front *)
+  let b = Budget.uniform ~n:64 ~budget:32 in
+  check_int "count saturates" max_int (Equilibrium.count_profiles b);
+  check_true "iter_profiles raises Invalid_argument"
+    (match Equilibrium.iter_profiles b (fun _ -> Alcotest.fail "emitted") with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
+let test_emitted_profiles_are_independent () =
+  (* callbacks may keep what they get (Improvement_graph does): a kept
+     profile must not change as the odometer moves on *)
+  let b = Budget.of_list [ 2; 1; 1; 1 ] in
+  let kept = ref [] in
+  Equilibrium.iter_profiles b (fun p -> kept := (p, Strategy.to_string p) :: !kept);
+  List.iter
+    (fun (p, s) -> check_true ("kept profile " ^ s) (Strategy.to_string p = s))
+    !kept;
+  check_true "kept profiles = the recursive oracle"
+    (List.rev_map snd !kept = oracle_profiles b)
+
 let prop_range_partition_agrees =
   qcheck ~count:50 "ranged enumeration partitions iter_profiles"
     (random_budget_gen ~n_min:2 ~n_max:5) (fun (n, total, seed) ->
@@ -186,12 +211,36 @@ let prop_range_partition_agrees =
       let space = Equilibrium.count_profiles b in
       space > 100_000
       ||
-      let all = ref [] in
-      Equilibrium.iter_profiles b (fun p ->
-          all := Strategy.to_string p :: !all);
+      let all = oracle_profiles b in
+      let full = ref [] in
+      Equilibrium.iter_profiles b (fun p -> full := Strategy.to_string p :: !full);
       let mid = space * (seed mod 100) / 100 in
-      profiles_in_range b ~lo:0 ~hi:mid @ profiles_in_range b ~lo:mid ~hi:space
-      = List.rev !all)
+      List.rev !full = all
+      && profiles_in_range b ~lo:0 ~hi:mid @ profiles_in_range b ~lo:mid ~hi:space
+         = all)
+
+let prop_refutation_cost_is_player_cost =
+  (* a refutation reports the current cost its search context priced;
+     it must be exactly the generic route's cost, for both certifiers
+     and both versions *)
+  qcheck ~count:200 "Refuted.current_cost == Game.player_cost"
+    (random_budget_gen ~n_min:2 ~n_max:8) (fun input ->
+      let p = random_profile_of input in
+      List.for_all
+        (fun version ->
+          let game = Game.make version (Strategy.budgets p) in
+          List.for_all
+            (function
+              | Equilibrium.Refuted r ->
+                  r.Equilibrium.current_cost
+                  = Game.player_cost game p r.Equilibrium.player
+                  && r.Equilibrium.better.Best_response.cost
+                     < r.Equilibrium.current_cost
+              | Equilibrium.Equilibrium -> true
+              | Equilibrium.Degraded _ -> false)
+            [ Equilibrium.certify game p; Equilibrium.certify_swap game p;
+              Equilibrium.certify_parallel ~domains:1 game p ])
+        Cost.all_versions)
 
 let suite =
   [
@@ -212,5 +261,9 @@ let suite =
       test_tree_instances_have_tree_equilibria;
     case "iter_profiles_range replays" test_iter_profiles_range_replays;
     case "iter_profiles_range guards" test_iter_profiles_range_guards;
+    case "iter_profiles rejects a saturated space"
+      test_iter_profiles_rejects_saturated;
+    case "emitted profiles are independent" test_emitted_profiles_are_independent;
     prop_range_partition_agrees;
+    prop_refutation_cost_is_player_cost;
   ]

@@ -127,6 +127,40 @@ let prop_canonical_connectable_diameter4 =
       (not (Budget.connectable b))
       || Cost.social_cost (Strategy.underlying p) <= 4)
 
+(* Budget vectors on n <= 5 drawn from three regimes, so every branch
+   of the bound-settled OPT is hit: subcritical (sigma < n-1, every
+   realization disconnected), complete-capable (sigma >= n(n-1)/2,
+   lo = 1) and anything in between. *)
+let opt_budget_gen =
+  QCheck.make
+    ~print:(fun (n, total, seed) ->
+      Printf.sprintf "n=%d total=%d seed=%d" n total seed)
+    QCheck.Gen.(
+      int_range 1 5 >>= fun n ->
+      let full = n * (n - 1) in
+      oneof
+        [
+          int_range 0 (max 0 (n - 2));
+          int_range (full / 2) full;
+          int_range 0 full;
+        ]
+      >>= fun total ->
+      int_range 0 10_000 >>= fun seed -> return (n, total, seed))
+
+let prop_opt_exact_matches_exhaustive =
+  qcheck ~count:150 "opt_diameter_exact == exhaustive minimum (n <= 5)"
+    opt_budget_gen (fun input ->
+      let b = random_budget_of input in
+      Poa.opt_diameter_exact b = Some (oracle_opt_diameter b))
+
+let test_opt_exact_settled_without_enumeration () =
+  (* unit n=7: lo = hi = 2, so OPT is exact with one CSR snapshot (the
+     witness's diameter) instead of one per profile *)
+  let built () = Bbng_obs.Counter.find "csr.snapshots_built" in
+  let before = built () in
+  check_true "unit n=7 OPT" (Poa.opt_diameter_exact (Budget.unit_budgets 7) = Some 2);
+  check_true "at most the witness snapshot" (built () - before <= 1)
+
 let suite =
   [
     case "canonical realization diameter" test_canonical_realization_diameter;
@@ -144,4 +178,6 @@ let suite =
     case "welfare refuses large" test_welfare_refuses_large;
     prop_canonical_realization_valid;
     prop_canonical_connectable_diameter4;
+    prop_opt_exact_matches_exhaustive;
+    case "opt exact settled by its bounds" test_opt_exact_settled_without_enumeration;
   ]
