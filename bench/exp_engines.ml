@@ -4,13 +4,20 @@
    Both engines are exact (the qcheck oracle in test_deviation_eval
    pins rows == bfs on random profiles), so the interesting output is
    the wall-clock ratio: the rows engine replaces one BFS per candidate
-   strategy with one cached BFS row per candidate *target* plus an
-   O(b n) min-combine per candidate, dropping the scan from
-   O(C(n-1,b) (n+m)) to O(n (n+m) + C(n-1,b) b n).
+   strategy with one cached BFS row per candidate *target* plus a
+   per-candidate combine of b+1 rows — the level identity over level
+   bitsets on shallow graphs, an O(b n) min-combine over int rows on
+   deep ones — dropping the scan from O(C(n-1,b) (n+m)) to one BFS per
+   row plus C(n-1,b) combines.  The "rows layout" column names the
+   representation the scanned players' contexts chose.
 
    The circulant profiles (i -> {i+1..i+b} mod n) keep the diameter
    well above the Lemma 2.2 threshold, so neither pruning tier fires
-   and every cell really prices all C(n-1, b) candidates per player. *)
+   and every cell really prices all C(n-1, b) candidates per player;
+   at n = 200 they are the deep side (int rows).  The random b = 2
+   profile at n = 200 spans four 62-bit words and is shallow (level
+   bitsets).  The n = 200 cells scan four players, the small ones all
+   of them. *)
 
 open Bbng_core
 open Exp_common
@@ -25,38 +32,72 @@ let circulant ~n ~b =
          Array.sort compare s;
          s))
 
-let scan_all_players ~engine game profile =
-  let n = Strategy.n profile in
-  Array.init n (fun player ->
-      Best_response.best_improvement ~engine game profile player)
+let random_profile ~n ~b =
+  Strategy.random (Random.State.make [| n; b |]) (Budget.uniform ~n ~budget:b)
+
+let scan_players ~engine game profile players =
+  Array.map
+    (fun player -> Best_response.best_improvement ~engine game profile player)
+    players
+
+(* "levels" / "ints" when every scanned player's rows context chose
+   the same layout, "mixed L/I" otherwise *)
+let layout_cell version profile players =
+  let levels = ref 0 and ints = ref 0 in
+  Array.iter
+    (fun player ->
+      let c =
+        Deviation_eval.make ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
+          version profile ~player
+      in
+      ignore (Deviation_eval.current_cost c : int);
+      match Deviation_eval.row_layout c with
+      | Some Deviation_eval.Level_bitsets -> incr levels
+      | Some Deviation_eval.Int_rows -> incr ints
+      | None -> ())
+    players;
+  if !ints = 0 then "levels"
+  else if !levels = 0 then "ints"
+  else Printf.sprintf "mixed %d/%d" !levels !ints
 
 let run () =
   section "ENGINES — overlay-BFS vs distance-row exact deviation pricing";
   let t =
     Table.make
       ~headers:
-        [ "version"; "n"; "b"; "candidates/player"; "bfs (s)"; "rows (s)";
-          "speedup"; "agree" ]
+        [ "profile"; "version"; "n"; "b"; "players"; "candidates/player";
+          "bfs (s)"; "rows (s)"; "speedup"; "rows layout"; "agree" ]
   in
   let module Json = Bbng_obs.Json in
   let headline = ref None in
   let cells =
     List.map
-      (fun (version, n, b) ->
-        let profile = circulant ~n ~b in
+      (fun (family, version, n, b) ->
+        let profile =
+          match family with
+          | `Circulant -> circulant ~n ~b
+          | `Random -> random_profile ~n ~b
+        in
         let game = Game.make version (Strategy.budgets profile) in
+        let players =
+          if n <= 30 then Array.init n Fun.id else [| 0; 50; 100; 150 |]
+        in
         let candidates = Bbng_graph.Combinatorics.binomial (n - 1) b in
         let bfs_moves, bfs_s =
           time_it (fun () ->
-              scan_all_players
+              scan_players
                 ~engine:(Deviation_eval.Fixed Deviation_eval.Bfs_overlay)
-                game profile)
+                game profile players)
         in
         let rows_moves, rows_s =
           time_it (fun () ->
-              scan_all_players
+              scan_players
                 ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
-                game profile)
+                game profile players)
+        in
+        let layout = layout_cell version profile players in
+        let family =
+          match family with `Circulant -> "circulant" | `Random -> "random"
         in
         (* both engines are exact with the same deterministic scan
            order, so the full per-player move lists must coincide *)
@@ -64,30 +105,36 @@ let run () =
         let speedup = if rows_s > 0. then Some (bfs_s /. rows_s) else None in
         if version = Cost.Sum && n = 30 && b = 2 then headline := speedup;
         Table.add_row t
-          [ Cost.version_name version; string_of_int n; string_of_int b;
+          [ family; Cost.version_name version; string_of_int n; string_of_int b;
+            string_of_int (Array.length players);
             Bbng_graph.Combinatorics.count_to_string candidates;
             Printf.sprintf "%.4f" bfs_s; Printf.sprintf "%.4f" rows_s;
             (match speedup with Some s -> Printf.sprintf "%.1fx" s | None -> "-");
-            verdict_cell agree ];
+            layout; verdict_cell agree ];
         Json.Obj
           [
+            ("profile", Json.Str family);
             ("version", Json.Str (Cost.version_name version));
             ("n", Json.Int n);
             ("b", Json.Int b);
+            ("players", Json.Int (Array.length players));
             ( "candidates_per_player",
               Json.Str (Bbng_graph.Combinatorics.count_to_string candidates) );
             ("bfs_s", Json.Float bfs_s);
             ("rows_s", Json.Float rows_s);
             ( "speedup",
               match speedup with Some s -> Json.Float s | None -> Json.Null );
+            ("row_layout", Json.Str layout);
             ("agree", Json.Bool agree);
           ])
       [
-        (Cost.Sum, 20, 1);
-        (Cost.Sum, 20, 2);
-        (Cost.Sum, 30, 2);
-        (Cost.Max, 30, 2);
-        (Cost.Sum, 24, 3);
+        (`Circulant, Cost.Sum, 20, 1);
+        (`Circulant, Cost.Sum, 20, 2);
+        (`Circulant, Cost.Sum, 30, 2);
+        (`Circulant, Cost.Max, 30, 2);
+        (`Circulant, Cost.Sum, 24, 3);
+        (`Random, Cost.Sum, 200, 2);
+        (`Circulant, Cost.Sum, 200, 2);
       ]
   in
   Table.print t;

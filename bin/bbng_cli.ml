@@ -79,10 +79,18 @@ let obs_term =
           ~doc:
             "Deviation pricing engine for exact searches: $(b,bfs) runs one \
              BFS per candidate strategy, $(b,rows) combines cached \
-             per-target distance rows in O(b*n) per candidate, $(b,auto) \
-             (default) picks rows for players with budget >= 2.  Both \
-             engines are exact; certificates record which one priced them \
-             and $(b,verify) re-prices through the other.")
+             per-target distance rows, $(b,auto) (default) picks rows for \
+             players with budget >= 2.  On a shallow graph rows are level \
+             bitsets (level d = the vertices within d hops), and a candidate \
+             costs one OR and popcount per 62-vertex word per level up to \
+             its coverage depth D: SUM = R + sum over d < D of (R - |U_d|) \
+             + (n-1-R)n^2 and MAX = D + 1, where U_d is the union of the \
+             rows' level d and R the number of vertices reached.  A deep graph \
+             (2(depth+1)ceil(n/62) > n for the base row's depth) keeps int \
+             rows and an O(b*n) min-combine; the choice follows the graph \
+             and is not an option.  Both engines are exact; certificates \
+             record which one priced them and $(b,verify) re-prices through \
+             the other.")
   in
   let metrics_out =
     Arg.(
@@ -438,6 +446,15 @@ let pp_evidence_summary ppf (cert : Equilibrium.certificate) =
     (String.concat ", " tiers) !scanned
     (if !scanned = 1 then "" else "s")
 
+(* A positional profile that does not parse is malformed input: exit 2
+   with the argument named on stderr, not cmdliner's usage error. *)
+let profile_or_exit ~what arg =
+  match Strategy.of_string arg with
+  | profile -> profile
+  | exception Invalid_argument msg ->
+      Printf.eprintf "bbng: %s: %s (%s)\n" arg what msg;
+      die Obs.Exit_code.input_error
+
 let verify_cmd =
   let target =
     Arg.(
@@ -531,9 +548,10 @@ let verify_cmd =
   let run () version target cert_out swap par samples budget =
     if Sys.file_exists target then verify_artifact target samples
     else
-      match Strategy.of_string target with
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | profile -> certify_profile version profile cert_out swap par budget
+      let profile =
+        profile_or_exit ~what:"neither an existing file nor a profile" target
+      in
+      certify_profile version profile cert_out swap par budget
   in
   let info =
     Cmd.info "verify"
@@ -582,26 +600,23 @@ let certify_cmd =
           ~doc:"Fan the per-player checks out over domains (same certificate).")
   in
   let run () version profile_str cert_out swap par budget =
-    match Strategy.of_string profile_str with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | profile ->
-        let game = Game.make version (Strategy.budgets profile) in
-        let cert =
-          if swap then Equilibrium.certify_swap_cert ~budget game profile
-          else if par then
-            Equilibrium.certify_parallel_cert ~budget game profile
-          else Equilibrium.certify_cert ~budget game profile
-        in
-        Format.printf "profile:   %s@." (Strategy.to_string profile);
-        Format.printf "verdict:   %a@." Equilibrium.pp_verdict
-          (Equilibrium.certificate_verdict cert);
-        Format.printf "evidence:  %a@." pp_evidence_summary cert;
-        (match cert_out with
-        | None -> ()
-        | Some path ->
-            Equilibrium.write_certificate path cert;
-            Format.printf "wrote %s@." path);
-        `Ok ()
+    let profile = profile_or_exit ~what:"not a profile" profile_str in
+    let game = Game.make version (Strategy.budgets profile) in
+    let cert =
+      if swap then Equilibrium.certify_swap_cert ~budget game profile
+      else if par then Equilibrium.certify_parallel_cert ~budget game profile
+      else Equilibrium.certify_cert ~budget game profile
+    in
+    Format.printf "profile:   %s@." (Strategy.to_string profile);
+    Format.printf "verdict:   %a@." Equilibrium.pp_verdict
+      (Equilibrium.certificate_verdict cert);
+    Format.printf "evidence:  %a@." pp_evidence_summary cert;
+    (match cert_out with
+    | None -> ()
+    | Some path ->
+        Equilibrium.write_certificate path cert;
+        Format.printf "wrote %s@." path);
+    `Ok ()
   in
   let info =
     Cmd.info "certify"
@@ -1054,19 +1069,17 @@ let export_cmd =
       & info [ "format"; "f" ] ~docv:"FMT" ~doc:"Output: dot, text, or undirected-dot.")
   in
   let run () profile_str format =
-    match Strategy.of_string profile_str with
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | profile ->
-        let g = Strategy.realize profile in
-        let out =
-          match format with
-          | `Dot -> Bbng_graph.Serialize.Digraph_io.to_dot g
-          | `Text -> Bbng_graph.Serialize.Digraph_io.to_text g
-          | `Udot ->
-              Bbng_graph.Serialize.Undirected_io.to_dot (Strategy.underlying profile)
-        in
-        print_string out;
-        `Ok ()
+    let profile = profile_or_exit ~what:"not a profile" profile_str in
+    let g = Strategy.realize profile in
+    let out =
+      match format with
+      | `Dot -> Bbng_graph.Serialize.Digraph_io.to_dot g
+      | `Text -> Bbng_graph.Serialize.Digraph_io.to_text g
+      | `Udot ->
+          Bbng_graph.Serialize.Undirected_io.to_dot (Strategy.underlying profile)
+    in
+    print_string out;
+    `Ok ()
   in
   let info =
     Cmd.info "export" ~doc:"Export a profile's realization as DOT or edge-list text."

@@ -254,4 +254,16 @@ rc=0
 grep -q -- "--out FILE.jsonl" census13.err \
   || fail "in-memory census refusal does not name --out on stderr"
 
+echo "== 14. a profile argument that does not parse is malformed input (exit 2) =="
+# neither an existing file nor a profile: the taxonomy's input error,
+# nothing on stdout, and the offending argument named on stderr
+for cmd in certify verify; do
+  rc=0
+  "$CLI" "$cmd" nonexist.txt > bad14.out 2> bad14.err || rc=$?
+  [ "$rc" -eq 2 ] || fail "$cmd on a bad profile exited $rc, expected 2"
+  [ -s bad14.out ] && fail "$cmd on a bad profile wrote to stdout"
+  grep -q "nonexist.txt" bad14.err \
+    || fail "$cmd on a bad profile does not name the argument on stderr"
+done
+
 echo "fault-smoke: all green"

@@ -263,9 +263,12 @@ let exact_refutation ?budget ?engine game profile player =
 let exact_improvement ?budget ?engine game profile player =
   Option.map fst (exact_refutation ?budget ?engine game profile player)
 
-let best_improvement ?budget ?engine game profile player =
+let best_refutation ?budget ?engine game profile player =
   with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
-  scan_for_improvement ctx ~stop_at_first:false
+  with_current ctx (scan_for_improvement ctx ~stop_at_first:false)
+
+let best_improvement ?budget ?engine game profile player =
+  Option.map fst (best_refutation ?budget ?engine game profile player)
 
 let swap_candidates ctx =
   (* (kept-set, replacement) pairs: drop each owned arc in turn, try
@@ -320,9 +323,12 @@ let swap_scan ctx ~stop_at_first =
     result
   end
 
-let swap_best ?budget ?engine game profile player =
+let swap_best_refutation ?budget ?engine game profile player =
   with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
-  swap_scan ctx ~stop_at_first:false
+  with_current ctx (swap_scan ctx ~stop_at_first:false)
+
+let swap_best ?budget ?engine game profile player =
+  Option.map fst (swap_best_refutation ?budget ?engine game profile player)
 
 let swap_refutation ?budget ?engine game profile player =
   with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->

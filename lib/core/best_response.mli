@@ -82,6 +82,16 @@ val best_improvement :
     deviation, or [None] if already optimal.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
+val best_refutation :
+  ?budget:Bbng_obs.Budgeted.t ->
+  ?engine:Deviation_eval.choice ->
+  Game.t -> Strategy.t -> int -> (move * int) option
+(** {!best_improvement} paired with the player's current cost, as the
+    search already priced it (like {!exact_refutation}): what dynamics
+    needs to apply a move and report its gain without re-pricing the
+    profile.
+    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
+
 val swap_best :
   ?budget:Bbng_obs.Budgeted.t ->
   ?engine:Deviation_eval.choice ->
@@ -89,6 +99,14 @@ val swap_best :
 (** Best strict improvement obtainable by replacing exactly one owned
     arc (keeping the other [b - 1]); [None] if no swap improves.
     O(b * n) cost evaluations.
+    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
+
+val swap_best_refutation :
+  ?budget:Bbng_obs.Budgeted.t ->
+  ?engine:Deviation_eval.choice ->
+  Game.t -> Strategy.t -> int -> (move * int) option
+(** {!swap_best} paired with the player's current cost, like
+    {!best_refutation}.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
 val first_improving_swap :

@@ -35,7 +35,16 @@ let default_choice () = Atomic.get default
    the single multi-source row min over staticN(player).  FIFO eviction
    under [cap] keeps the worst case at O(cap · n) ints.  [rows] may be
    longer than the context's [n] (a reused context keeps its largest
-   table); only indices below [n] are ever touched. *)
+   table); only indices below [n] are ever touched.
+
+   A row is stored in one of two representations, chosen once per
+   context when the base row is built (see [prefer_levels]) and shared
+   by every row of that context:
+   - an int row: [row.(v)] is the distance, n² where unreachable;
+   - level bitsets: [row.(0)] is the top level [top], and level
+     [d <= top] occupies the [words] cells from [1 + d·words]; it is
+     the set {v : dist(v) <= d}, bit [v mod 62] of word [v / 62].
+     Levels above [top] equal level [top]. *)
 type rows_state = {
   mutable cap : int;
   mutable rows : int array option array;
@@ -43,6 +52,11 @@ type rows_state = {
   mutable live : int;
   mutable base : int array option;
   mutable hits : int;           (* cache hits not yet added to the counter *)
+  mutable levels : bool;        (* level bitsets, else int rows *)
+  mutable words : int;          (* ⌈n/62⌉: cells per level *)
+  mutable base_depth : int;     (* the base row's largest finite entry *)
+  mutable gather : int array array;
+      (* scratch: the rows of the candidate being priced, base first *)
 }
 
 (* Every field that depends on the captured (profile, player) is
@@ -112,6 +126,7 @@ let clear_rows rs =
   Queue.clear rs.order;
   rs.live <- 0;
   rs.base <- None;
+  Array.fill rs.gather 0 (Array.length rs.gather) [||];
   (* hits an interrupted evaluation never flushed *)
   if rs.hits > 0 then begin
     Bbng_obs.Counter.add c_row_hits rs.hits;
@@ -200,6 +215,10 @@ let reset ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap t
                 live = 0;
                 base = None;
                 hits = 0;
+                levels = false;
+                words = 0;
+                base_depth = 0;
+                gather = Array.make 3 [||];
               }));
   t.version <- version;
   t.player <- player;
@@ -216,6 +235,15 @@ let make ?budget ?engine ?row_cache_cap version profile ~player =
 let player t = t.player
 let version t = t.version
 let engine t = t.engine
+
+type row_layout = Int_rows | Level_bitsets
+
+let row_layout t =
+  match t.rows_state with
+  | Some { base = Some _; levels; _ } ->
+      Some (if levels then Level_bitsets else Int_rows)
+  | _ -> None
+
 let budget t = t.budget
 let set_budget t budget = t.budget <- budget
 
@@ -338,15 +366,18 @@ let overlay_cost t targets =
         inf + ((kappa - 1) * inf)
       end
 
-(* --- rows engine: per-target distance rows, O(b·n) combine --- *)
+(* --- rows engine: per-target distance rows --- *)
 
 (* One BFS of the player-deleted static graph from the seeds already
-   placed in [t.queue]; the row maps every vertex to its distance from
-   the nearest seed (the sentinel n² elsewhere, including at the
-   player).  The cache is only updated after the BFS completes, so an
-   exception (budget expiry, an injected fault) or a SIGKILL mid-build
-   never leaves a torn row. *)
-let finish_row t row tail0 =
+   placed in [t.queue.(0 .. tail0 - 1)] (each holding 0 in [row], every
+   other cell the sentinel n²); the row ends up mapping every vertex to
+   its distance from the nearest seed (the sentinel elsewhere,
+   including at the player).  Returns the reached count; the reached
+   vertices are left in [t.queue] in BFS order, hence by distance.  The
+   cache is only updated after the BFS completes, so an exception
+   (budget expiry, an injected fault) or a SIGKILL mid-build never
+   leaves a torn row. *)
+let bfs_row t row tail0 =
   let inf = t.n * t.n in
   (* the context's fields are mutable (see [reset]): read them once *)
   let offs = t.static_offs and adj = t.static_targets in
@@ -366,44 +397,171 @@ let finish_row t row tail0 =
     done
   done;
   Bbng_obs.Budgeted.spend t.budget !tail;
+  !tail
+
+(* Bits per level word: 62 keeps every word non-negative (bit 62 is an
+   OCaml int's sign bit), so [popcount] needs no sign handling. *)
+let word_bits = 62
+
+(* SWAR population count of a word below 2^62.  The multiply sums the
+   eight byte counts into the top byte (bits 56..62); the total is at
+   most 62, so it never overflows those seven bits. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+(* The representation rule.  Level bitsets price a candidate in at
+   most D + 2 levels of ⌈n/62⌉ word ORs and popcounts, where the
+   coverage depth D is at most [depth]: the base row's depth inside the
+   base's reach (see [build_row]), and beyond it the largest diameter
+   among the components the base misses ([unreached_depth]).  Int rows
+   take n min-steps.  So bitsets win on shallow graphs, and deep ones
+   (paths, tripods, circulants) keep int rows.  Full scans of b = 2 circulants (i -> {i+1, i+s}) put the break-even
+   near (depth+1)·words = n at n = 200 and 500; the factor 2 keeps the
+   bitsets clear of it. *)
+let prefer_levels ~n ~words ~depth = 2 * (depth + 1) * words <= n
+
+(* Whether [v] is in level [d] of the level-bitset row [r]. *)
+let level_mem r words d v =
+  (r.(1 + (d * words) + (v / word_bits)) lsr (v mod word_bits)) land 1 = 1
+
+(* Pack the BFS just run into [t.dist] ([reached] vertices in
+   [t.queue], by distance) as level bitsets, truncated at [limit]. *)
+let pack_levels t rs reached ~limit =
+  let dist = t.dist and queue = t.queue and w = rs.words in
+  let depth = if reached = 0 then 0 else dist.(queue.(reached - 1)) in
+  let top = if depth < limit then depth else limit in
+  let row = Array.make (1 + ((top + 1) * w)) 0 in
+  row.(0) <- top;
+  (* each vertex into the shell of its own distance, then prefix-OR
+     the shells into cumulative levels *)
+  let i = ref 0 in
+  while !i < reached && dist.(queue.(!i)) <= top do
+    let v = queue.(!i) in
+    let k = 1 + (dist.(v) * w) + (v / word_bits) in
+    row.(k) <- row.(k) lor (1 lsl (v mod word_bits));
+    incr i
+  done;
+  for k = 1 + w to (top + 1) * w do
+    row.(k) <- row.(k) lor row.(k - w)
+  done;
   row
 
-let build_row_single t target =
-  Bbng_obs.Fault.hit "deveval.row_build";
-  Bbng_obs.Counter.bump c_rows_built;
-  let row = Array.make t.n (t.n * t.n) in
-  row.(target) <- 0;
-  t.queue.(0) <- target;
-  finish_row t row 1
+(* BFS scratch for a level-bitset row: the int row only lives in
+   [t.dist] until it is packed. *)
+let scratch_row t =
+  Array.fill t.dist 0 t.n (t.n * t.n);
+  t.dist
 
-(* seeded by the player's static neighbourhood (duplicates merged —
-   a brace contributes the same endpoint twice) *)
-let build_base_row t =
+(* An upper bound on the diameters of the components of G∖player that
+   the base row just built in [dist] misses ([reached] vertices in
+   [t.queue], which stay untouched): twice the eccentricity of one
+   vertex per component, by a layered BFS through [comp_seen] in the
+   queue's free tail. *)
+let unreached_depth t dist reached =
+  let n = t.n in
+  let inf = n * n in
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp in
+  let comp_seen = t.comp_seen and queue = t.queue in
+  let offs = t.static_offs and adj = t.static_targets in
+  let bound = ref 0 in
+  for s = 0 to n - 1 do
+    if s <> t.player && dist.(s) = inf && comp_seen.(s) <> stamp then begin
+      comp_seen.(s) <- stamp;
+      queue.(reached) <- s;
+      let head = ref reached and tail = ref (reached + 1) in
+      let ecc = ref 0 and level_end = ref (reached + 1) in
+      while !head < !tail do
+        if !head = !level_end then begin
+          incr ecc;
+          level_end := !tail
+        end;
+        let u = queue.(!head) in
+        incr head;
+        for k = offs.(u) to offs.(u + 1) - 1 do
+          let v = adj.(k) in
+          if v <> t.player && comp_seen.(v) <> stamp then begin
+            comp_seen.(v) <- stamp;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
+      done;
+      if 2 * !ecc > !bound then bound := 2 * !ecc
+    end
+  done;
+  !bound
+
+(* Seeded by the player's static neighbourhood (duplicates merged — a
+   brace contributes the same endpoint twice).  Its depth fixes the
+   context's representation for every later row. *)
+let build_base_row t rs =
   Bbng_obs.Fault.hit "deveval.row_build";
   Bbng_obs.Counter.bump c_rows_built;
-  let inf = t.n * t.n in
-  let row = Array.make t.n inf in
+  let n = t.n in
+  let inf = n * n in
+  let dist = scratch_row t in
   let tail = ref 0 in
   for k = t.static_offs.(t.player) to t.static_offs.(t.player + 1) - 1 do
     let s = t.static_targets.(k) in
-    if row.(s) = inf then begin
-      row.(s) <- 0;
+    if dist.(s) = inf then begin
+      dist.(s) <- 0;
       t.queue.(!tail) <- s;
       incr tail
     end
   done;
-  finish_row t row !tail
+  let reached = bfs_row t dist !tail in
+  let depth = if reached = 0 then 0 else dist.(t.queue.(reached - 1)) in
+  let words = (n + word_bits - 1) / word_bits in
+  rs.words <- words;
+  rs.base_depth <- depth;
+  rs.levels <-
+    prefer_levels ~n ~words
+      ~depth:
+        (if reached = n - 1 then depth
+         else max depth (unreached_depth t dist reached));
+  if rs.levels then pack_levels t rs reached ~limit:depth else Array.sub dist 0 n
+
+(* A target row.  As level bitsets it stops at the base row's depth
+   when the base reaches the target: the target's component is then
+   inside the base's reach, which the base's top level already holds,
+   so deeper target levels add nothing to any union. *)
+let build_row t rs target =
+  Bbng_obs.Fault.hit "deveval.row_build";
+  Bbng_obs.Counter.bump c_rows_built;
+  if rs.levels then begin
+    let dist = scratch_row t in
+    dist.(target) <- 0;
+    t.queue.(0) <- target;
+    let reached = bfs_row t dist 1 in
+    let limit =
+      match rs.base with
+      | Some base when level_mem base rs.words base.(0) target -> rs.base_depth
+      | _ -> max_int
+    in
+    pack_levels t rs reached ~limit
+  end
+  else begin
+    let row = Array.make t.n (t.n * t.n) in
+    row.(target) <- 0;
+    t.queue.(0) <- target;
+    ignore (bfs_row t row 1 : int);
+    row
+  end
 
 let base_row t rs =
   match rs.base with
   | Some row -> row
   | None ->
-      let row = build_base_row t in
+      let row = build_base_row t rs in
       rs.base <- Some row;
       row
 
 let miss_row t rs target =
-  let row = build_row_single t target in
+  let row = build_row t rs target in
   if rs.live >= rs.cap then begin
     match Queue.take_opt rs.order with
     | Some victim ->
@@ -424,23 +582,19 @@ let cached_row t rs target =
       r
   | None -> miss_row t rs target
 
-(* The (b+1)-way min-combine is the per-candidate hot path — a full
-   exhaustive scan runs it C(n-1, b) times — so the ubiquitous b <= 2
-   cases are unrolled: no trows allocation and no inner k-loop.  Two
-   more hot-path economies: every row holds the sentinel at the player
-   (build_row never relaxes it), so the combine needs no per-vertex
-   player test — the player falls out of the [m < inf] branch and is
-   pre-counted in [reached]; and cache-hit accounting is batched into
-   one atomic [Counter.add] per evaluation instead of one bump per
-   target, through a tally in the row state rather than a local ref
-   and closure, so an evaluation allocates nothing.  The reach set is not marked here either: only the MAX
-   disconnection walk needs the mark, and that rare path re-derives it
-   from the cache-hot rows.  Rows are held by reference throughout: a
-   cache eviction while gathering the next row cannot invalidate one
-   already in hand. *)
-let rows_cost t rs targets =
+(* Int rows: the (b+1)-way min-combine, O(b·n) per candidate.  A full
+   exhaustive scan runs it C(n-1, b) times, so the ubiquitous b <= 2
+   cases are unrolled: no trows allocation and no inner k-loop.  Every
+   row holds the sentinel at the player (the BFS never relaxes it), so
+   the combine needs no per-vertex player test — the player falls out
+   of the [m < inf] branch and is pre-counted in [reached].  The reach
+   set is not marked here either: only the MAX disconnection walk
+   needs the mark, and that rare path re-derives it from the cache-hot
+   rows.  Rows are held by reference throughout: a cache eviction
+   while gathering the next row cannot invalidate one already in
+   hand. *)
+let int_rows_cost t rs base targets =
   let inf = t.n * t.n in
-  let base = base_row t rs in
   let n = t.n in
   let b = Array.length targets in
   let reached = ref 1 in
@@ -501,32 +655,149 @@ let rows_cost t rs targets =
         end
       done);
   Bbng_obs.Budgeted.spend t.budget ((b + 1) * n);
-  let result =
-    match t.version with
-    | Cost.Sum -> !sum + ((n - !reached) * inf)
-    | Cost.Max ->
-        if !reached = n then !mx
-        else begin
-          (* disconnected under MAX: mark the reach set for the
-             component walk.  Re-gathering the rows is a cache hit
-             (they were just combined; a rebuild after an eviction is
-             deterministic, so the mark equals the combine's reach set
-             either way). *)
-          let trows = Array.map (cached_row t rs) targets in
-          t.stamp <- t.stamp + 1;
-          let stamp = t.stamp in
-          t.seen.(t.player) <- stamp;
-          for v = 0 to n - 1 do
-            let m = ref base.(v) in
-            for k = 0 to b - 1 do
-              let d = trows.(k).(v) in
-              if d < !m then m := d
-            done;
-            if !m < inf then t.seen.(v) <- stamp
+  match t.version with
+  | Cost.Sum -> !sum + ((n - !reached) * inf)
+  | Cost.Max ->
+      if !reached = n then !mx
+      else begin
+        (* disconnected under MAX: mark the reach set for the
+           component walk.  Re-gathering the rows is a cache hit (they
+           were just combined; a rebuild after an eviction is
+           deterministic, so the mark equals the combine's reach set
+           either way). *)
+        let trows = Array.map (cached_row t rs) targets in
+        t.stamp <- t.stamp + 1;
+        let stamp = t.stamp in
+        t.seen.(t.player) <- stamp;
+        for v = 0 to n - 1 do
+          let m = ref base.(v) in
+          for k = 0 to b - 1 do
+            let d = trows.(k).(v) in
+            if d < !m then m := d
           done;
-          let kappa = 1 + unreached_components t in
-          inf + ((kappa - 1) * inf)
-        end
+          if !m < inf then t.seen.(v) <- stamp
+        done;
+        let kappa = 1 + unreached_components t in
+        inf + ((kappa - 1) * inf)
+      end
+
+(* First cell of level [d] of the level-bitset row [r]. *)
+let[@inline] level_at r words d =
+  let top = r.(0) in
+  1 + ((if d < top then d else top) * words)
+
+(* |U^d|, the number of vertices within [d] hops of some row of the
+   candidate: the union of level [d] of [rs.gather.(0 .. nrows - 1)].
+   Unrolled for three rows: a b = 2 candidate with the base, the hot
+   case of every exhaustive scan. *)
+let level_count rs nrows d =
+  let w = rs.words and g = rs.gather in
+  let c = ref 0 in
+  (match nrows with
+  | 3 ->
+      let r0 = g.(0) and r1 = g.(1) and r2 = g.(2) in
+      let o0 = level_at r0 w d and o1 = level_at r1 w d in
+      let o2 = level_at r2 w d in
+      for k = 0 to w - 1 do
+        c := !c + popcount (r0.(o0 + k) lor r1.(o1 + k) lor r2.(o2 + k))
+      done
+  | _ ->
+      for k = 0 to w - 1 do
+        let u = ref 0 in
+        for j = 0 to nrows - 1 do
+          let r = g.(j) in
+          u := !u lor r.(level_at r w d + k)
+        done;
+        c := !c + popcount !u
+      done);
+  !c
+
+(* Mark U^∞, the union of the gathered rows' top levels, into [seen]
+   for the MAX component walk. *)
+let mark_level_reach t rs nrows =
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp in
+  t.seen.(t.player) <- stamp;
+  let w = rs.words and g = rs.gather in
+  for k = 0 to w - 1 do
+    let u = ref 0 in
+    for j = 0 to nrows - 1 do
+      let r = g.(j) in
+      u := !u lor r.(1 + (r.(0) * w) + k)
+    done;
+    for bit = 0 to word_bits - 1 do
+      if (!u lsr bit) land 1 = 1 then t.seen.((k * word_bits) + bit) <- stamp
+    done
+  done
+
+(* Level bitsets: the candidate's distances are those of a multi-source
+   BFS from its seeds (the targets and staticN(player)), so the levels
+   U^0 ⊆ U^1 ⊆ ... of the union grow strictly until they stop, at the
+   coverage level D, with R = |U^D| vertices reached.  Hence
+
+     SUM = R + Σ_{d<D} (R − |U^d|) + (n−1−R)·n²
+     MAX = D + 1 when R = n − 1
+
+   and the walk stops at the first level that does not grow (or that
+   reaches all n − 1 other vertices).  A disconnected MAX falls back to
+   the component walk from U^∞.  The combine charges (b+1)·n work
+   units like the int combine, so a work limit stops a scan at the
+   same candidate under either representation. *)
+let level_rows_cost t rs base targets =
+  let b = Array.length targets in
+  if Array.length rs.gather <= b then rs.gather <- Array.make (b + 1) [||];
+  let g = rs.gather in
+  g.(0) <- base;
+  for k = 0 to b - 1 do
+    g.(k + 1) <- cached_row t rs targets.(k)
+  done;
+  let nrows = b + 1 in
+  let n = t.n in
+  let full = n - 1 and inf = n * n in
+  let d = ref 0 and prev = ref 0 and below = ref 0 in
+  let depth = ref (-1) and reached = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let c = level_count rs nrows !d in
+    if c = !prev then begin
+      (* no growth: the union stopped at level d - 1 *)
+      depth := !d - 1;
+      reached := c;
+      below := !below - c;
+      continue := false
+    end
+    else if c = full then begin
+      depth := !d;
+      reached := c;
+      continue := false
+    end
+    else begin
+      below := !below + c;
+      prev := c;
+      incr d
+    end
+  done;
+  Bbng_obs.Budgeted.spend t.budget (nrows * n);
+  match t.version with
+  | Cost.Sum ->
+      !reached + (!depth * !reached) - !below + ((full - !reached) * inf)
+  | Cost.Max ->
+      if !reached = full then !depth + 1
+      else begin
+        mark_level_reach t rs nrows;
+        let kappa = 1 + unreached_components t in
+        inf + ((kappa - 1) * inf)
+      end
+
+(* Cache-hit accounting is batched into one atomic [Counter.add] per
+   evaluation instead of one bump per target, through a tally in the
+   row state rather than a local ref and closure, so an evaluation
+   allocates nothing. *)
+let rows_cost t rs targets =
+  let base = base_row t rs in
+  let result =
+    if rs.levels then level_rows_cost t rs base targets
+    else int_rows_cost t rs base targets
   in
   if rs.hits > 0 then begin
     Bbng_obs.Counter.add c_row_hits rs.hits;

@@ -22,10 +22,28 @@
       player's tentative arcs as first steps: O(n + m) per candidate.
     - [Rows] precomputes one BFS row per first-hop vertex of [G∖i]
       (lazily, cached under a configurable cap with eviction counters),
-      plus a single multi-source row for the static neighbors; each
-      candidate is then an O(b·n) min-combine over b+1 rows.  Over a
-      C(n-1, b) exhaustive scan this drops the total from
-      O(C(n-1,b)·(n+m)) to O(n·(n+m) + C(n-1,b)·b·n).
+      plus a single multi-source row for the static neighbors.  A
+      candidate's distances are then those of a multi-source BFS from
+      its b+1 rows' seeds, priced by the level identity: with
+      U{^d} the set of vertices within d of some seed, R = |U{^∞}|
+      the reached count and D the first level with |U{^D}| = R,
+
+      {v
+      SUM = R + Σ_{d<D} (R − |U^d|) + (n−1−R)·n²
+      MAX = D + 1                     (connected: R = n − 1)
+      v}
+
+      and a disconnected MAX counts components as below.  Each row is
+      stored as level bitsets (level d = the vertices within d, packed
+      62 to an int), so a level of U costs one OR per word per row plus
+      a popcount, and the walk stops at D: O((D+2)·b·⌈n/62⌉) per
+      candidate.  Deep graphs would make that worse than the plain
+      O(b·n) min-combine over int rows, so each context picks its
+      representation from its base row: bitsets when 2·(depth+1)·⌈n/62⌉
+      <= n (depth bounds every candidate's D, see {!row_layout}), int
+      rows otherwise.  Over a C(n-1, b) exhaustive scan either way
+      replaces O(C(n-1,b)·(n+m)) with one BFS per row plus a
+      per-candidate combine.
 
     In both engines the vertices an evaluation misses induce the same
     components as in the static graph (none of their edges involve the
@@ -117,6 +135,23 @@ val version : t -> Cost.version
 val engine : t -> engine
 (** The engine this context resolved to ([Auto] already applied). *)
 
+type row_layout =
+  | Int_rows       (** one int per vertex; an O(b·n) min-combine *)
+  | Level_bitsets  (** cumulative level bitsets; the level identity *)
+
+val row_layout : t -> row_layout option
+(** How this context stores its distance rows: [None] for an overlay
+    context, and for a rows context that has not priced anything yet
+    (the choice is made when its first evaluation builds the base
+    row).  The choice is [Level_bitsets] iff
+    [2·(depth+1)·⌈n/62⌉ <= n], where [depth] is the base row's depth,
+    or, if larger, twice the eccentricity of one vertex in each
+    component of [G∖i] the base row misses (a candidate's coverage
+    depth is bounded by the former inside the base's reach and by the
+    component diameters outside it).  It is an
+    observable of the graph, not a knob: prices are identical either
+    way. *)
+
 val budget : t -> Bbng_obs.Budgeted.t
 
 val set_budget : t -> Bbng_obs.Budgeted.t -> unit
@@ -136,7 +171,7 @@ val cost : t -> int array -> int
     (raising {!Bbng_obs.Budgeted.Expired} once the token has tripped)
     and charges the work done after — the reached-vertex count per
     overlay BFS, the popped count per row build, [(b+1)·n] cells per
-    combine — so interruption lands {e between} candidate evaluations,
+    combine under either row layout — so interruption lands {e between} candidate evaluations,
     never mid-BFS, and the row cache is never left with a torn row
     (rows are installed only after their BFS completes; the
     [deveval.row_build] fault probe sits before the build for the

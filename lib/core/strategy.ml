@@ -62,25 +62,36 @@ let of_digraph g =
     strategies = Array.init (Digraph.n g) (fun u -> Array.copy (Digraph.out_neighbors g u));
   }
 
-(* Uniform random b-subset of {0..n-1} \ {player} by partial
-   Fisher-Yates over an index trick: sample from n-1 candidates. *)
-let random_subset rng n player b =
-  let candidates = Array.init (n - 1) (fun i -> if i < player then i else i + 1) in
-  for k = 0 to b - 1 do
-    let j = k + Random.State.int rng (Array.length candidates - k) in
+(* Each player draws a uniform random b-subset of {0..n-1} \ {i} by
+   the first b steps of a Fisher-Yates shuffle of its n-1 candidates in
+   order.  One candidate array serves every player: the b swaps are
+   undone after the draw, and player i+1's candidates differ from
+   player i's only at position i, so a profile costs O(n + Σb) rather
+   than an (n-1)-array per player, with the same draws and subsets. *)
+let random rng budgets =
+  let np = Budget.n budgets in
+  let candidates = Array.init (max 0 (np - 1)) (fun c -> c + 1) in
+  let swap k j =
     let tmp = candidates.(k) in
     candidates.(k) <- candidates.(j);
     candidates.(j) <- tmp
-  done;
-  Array.sub candidates 0 b
-
-let random rng budgets =
-  let np = Budget.n budgets in
+  in
+  let swapped = Array.make np 0 in
   {
     budgets;
     strategies =
       Array.init np (fun i ->
-          let s = random_subset rng np i (Budget.get budgets i) in
+          let b = Budget.get budgets i in
+          for k = 0 to b - 1 do
+            let j = k + Random.State.int rng (np - 1 - k) in
+            swapped.(k) <- j;
+            swap k j
+          done;
+          let s = Array.sub candidates 0 b in
+          for k = b - 1 downto 0 do
+            swap k swapped.(k)
+          done;
+          if i < np - 1 then candidates.(i) <- i;
           Array.sort compare s;
           s);
   }

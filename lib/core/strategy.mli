@@ -45,7 +45,10 @@ val of_digraph : Bbng_graph.Digraph.t -> t
 
 val random : Random.State.t -> Budget.t -> t
 (** Independent uniform strategies: each player picks a uniformly random
-    [b_i]-subset of the others. *)
+    [b_i]-subset of the others.  The draws are part of the contract —
+    players in order, each the first [b_i] steps of a Fisher-Yates
+    shuffle of its candidates — since seeded starts and recorded runs
+    depend on them.  O(n + Σ b_i). *)
 
 val relabel : t -> int array -> t
 (** [relabel p pi] renames every player and every target through the

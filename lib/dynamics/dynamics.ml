@@ -16,20 +16,20 @@ let rule_of_name = function
   | "first-swap" -> Some First_swap
   | _ -> None
 
+(* The mover's improving move paired with its current cost, as the
+   search priced it: applying the move and reporting its gain then
+   needs no second pricing of the profile. *)
 let mover ?budget rule game profile player =
   (* one span per best-response probe: its p50/p99 is the per-player
      move-selection latency distribution of the whole dynamics run *)
   Obs.Span.with_ "dynamics.select_move" (fun () ->
       match rule with
-      | Exact_best | First_improving ->
-          (* Both rules apply an exact improving move; Exact_best prefers
-             the best one. *)
-          if rule = Exact_best then
-            Best_response.best_improvement ?budget game profile player
-          else Best_response.exact_improvement ?budget game profile player
-      | Best_swap -> Best_response.swap_best ?budget game profile player
-      | First_swap ->
-          Best_response.first_improving_swap ?budget game profile player)
+      | Exact_best -> Best_response.best_refutation ?budget game profile player
+      | First_improving ->
+          Best_response.exact_refutation ?budget game profile player
+      | Best_swap ->
+          Best_response.swap_best_refutation ?budget game profile player
+      | First_swap -> Best_response.swap_refutation ?budget game profile player)
 
 type outcome =
   | Converged of { profile : Strategy.t; steps : int }
@@ -283,7 +283,9 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
     else begin
       (* The schedule probes players through this memoized move lookup,
          so Max_gain's n probes and the final application share work. *)
-      let cache : (int, Best_response.move option) Hashtbl.t = Hashtbl.create 8 in
+      let cache : (int, (Best_response.move * int) option) Hashtbl.t =
+        Hashtbl.create 8
+      in
       let move_of p =
         match Hashtbl.find_opt cache p with
         | Some m -> m
@@ -296,8 +298,8 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
       let improving p =
         match move_of p with
         | None -> None
-        | Some m ->
-            let gain = Game.player_cost game profile p - m.Best_response.cost in
+        | Some (m, current) ->
+            let gain = current - m.Best_response.cost in
             if gain > !step_max_regret then step_max_regret := gain;
             Some gain
       in
@@ -321,8 +323,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
       | `Next (Some (player, sched_state)) -> (
           match move_of player with
           | None -> assert false (* the schedule only returns improvers *)
-          | Some m ->
-              let old_cost = Game.player_cost game profile player in
+          | Some (m, old_cost) ->
               let old_targets = Strategy.strategy profile player in
               let profile =
                 Strategy.with_strategy profile ~player ~targets:m.Best_response.targets

@@ -310,6 +310,291 @@ let test_release_then_reset () =
     | exception Invalid_argument _ -> true
     | () -> false)
 
+(* --- row layouts: level bitsets across word boundaries, int rows on
+   deep graphs --- *)
+
+let layout_name = function
+  | Some Deviation_eval.Int_rows -> "int rows"
+  | Some Deviation_eval.Level_bitsets -> "level bitsets"
+  | None -> "none"
+
+let check_layout name expected c =
+  ignore (Deviation_eval.current_cost c);
+  Alcotest.(check string)
+    (name ^ ": row layout") (layout_name (Some expected))
+    (layout_name (Deviation_eval.row_layout c))
+
+(* up to three distinct targets other than [player]: full and partial
+   target sets for every budget in 0..3 *)
+let random_targets st ~n ~player =
+  let k = Random.State.int st 4 in
+  let rec draw acc =
+    if List.length acc = k then Array.of_list acc
+    else
+      let v = Random.State.int st n in
+      if v = player || List.mem v acc then draw acc else draw (v :: acc)
+  in
+  draw []
+
+let path_profile n =
+  Strategy.make
+    (Budget.of_list (List.init n (fun i -> if i < n - 1 then 1 else 0)))
+    (Array.init n (fun i -> if i < n - 1 then [| i + 1 |] else [||]))
+
+(* i -> {i+1, ..., i+b} mod n: diameter about n / 2b *)
+let circulant ~n ~b =
+  Strategy.make (Budget.uniform ~n ~budget:b)
+    (Array.init n (fun i ->
+         let s = Array.init b (fun k -> (i + k + 1) mod n) in
+         Array.sort compare s;
+         s))
+
+(* A shallow random core 0..n-k-2 (two arcs each, vertex 0 also
+   pointing at the player n-1), two small paths that only the player's
+   own arcs reach (the rest of the k vertices), and the player itself:
+   the base row misses the paths, so candidates that skip them leave
+   G∖player's reach short — the n² penalty under SUM, kappa = 2 or 3
+   under MAX — while the layout stays level bitsets. *)
+let core_with_islands st ~n ~k =
+  let player = n - 1 and core = n - k - 1 in
+  let half = k / 2 in
+  let strategies =
+    Array.init n (fun i ->
+        if i = player then [| 0; 1; core |]
+        else if i < core then begin
+          let rec pick () =
+            let a = Random.State.int st core and b = Random.State.int st core in
+            if a = i || b = i || a = b then pick () else [| min a b; max a b |]
+          in
+          let s = pick () in
+          if i = 0 then Array.append s [| player |] else s
+        end
+        else if i = core + half - 1 || i = core + k - 1 then [||]
+        else [| i + 1 |])
+  in
+  (Strategy.make
+     (Budget.of_list (Array.to_list (Array.map Array.length strategies)))
+     (Array.map (fun s -> Array.sort compare s; s) strategies),
+   player)
+
+let agree_on version p player ?row_cache_cap candidates =
+  let r = rows_of ?row_cache_cap version p player in
+  let b = bfs_of version p player in
+  List.iter
+    (fun t ->
+      check_int
+        (Printf.sprintf "%s {%s}" (Cost.version_name version)
+           (String.concat "," (List.map string_of_int (Array.to_list t))))
+        (Deviation_eval.cost b t) (Deviation_eval.cost r t))
+    candidates;
+  r
+
+let multiword_sizes = [| 61; 62; 63; 64; 123; 124; 125; 126 |]
+
+let prop_rows_equals_bfs_multiword =
+  (* n straddles one and two word boundaries (62 vertices per word):
+     uniform b = 2 profiles are shallow and take level bitsets; sparse
+     ones (budgets 0..3) are often deep or disconnected and take int
+     rows.  Rows must price exactly like the overlay BFS either way,
+     with full and partial target sets, under evictions (cap 1) and
+     against the generic route on full-budget deviations. *)
+  qcheck ~count:60 "rows engine == overlay BFS across word boundaries"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let st = rng seed in
+      let n =
+        multiword_sizes.(Random.State.int st (Array.length multiword_sizes))
+      in
+      let budgets =
+        if Random.State.bool st then Budget.uniform ~n ~budget:2
+        else Budget.of_list (List.init n (fun _ -> Random.State.int st 4))
+      in
+      let p = Strategy.random st budgets in
+      let player = Random.State.int st n in
+      let row_cache_cap = if Random.State.int st 4 = 0 then Some 1 else None in
+      let candidates = List.init 30 (fun _ -> random_targets st ~n ~player) in
+      let full =
+        List.init 3 (fun _ ->
+            Strategy.strategy (Strategy.random st budgets) player)
+      in
+      List.for_all
+        (fun version ->
+          let game = Game.make version budgets in
+          let r = rows_of ?row_cache_cap version p player in
+          let b = bfs_of version p player in
+          List.for_all
+            (fun t -> Deviation_eval.cost r t = Deviation_eval.cost b t)
+            candidates
+          && List.for_all
+               (fun t ->
+                 Deviation_eval.cost r t
+                 = Game.deviation_cost game p ~player ~targets:t)
+               full)
+        Cost.all_versions)
+
+let test_shallow_multiword_takes_levels () =
+  List.iter
+    (fun n ->
+      let p = Strategy.random (rng n) (Budget.uniform ~n ~budget:2) in
+      let st = rng (n + 1) in
+      List.iter
+        (fun version ->
+          let player = Random.State.int st n in
+          let candidates = List.init 200 (fun _ -> random_targets st ~n ~player) in
+          let r = agree_on version p player candidates in
+          check_layout (Printf.sprintf "random b=2 n=%d" n) Deviation_eval.Level_bitsets r)
+        Cost.all_versions)
+    [ 62; 63; 124; 125; 200 ]
+
+let test_deep_profiles_take_int_rows () =
+  (* paths, tripods and circulants are too deep for level bitsets; the
+     int-row combine must stay exact on them, including the path's
+     disconnected deviations *)
+  List.iter
+    (fun (name, p, player) ->
+      let n = Strategy.n p in
+      let b = Budget.get (Strategy.budgets p) player in
+      List.iter
+        (fun version ->
+          let r = agree_on version p player (all_candidates n player b) in
+          check_layout name Deviation_eval.Int_rows r)
+        Cost.all_versions)
+    [
+      ("path n=64", path_profile 64, 10);
+      ("tripod k=21", Bbng_constructions.Tripod.profile ~k:21, 0);
+      ("circulant n=123 b=2", circulant ~n:123 ~b:2, 5);
+    ]
+
+let test_levels_disconnected () =
+  (* level bitsets on a G∖player that the base row does not cover:
+     every subset of up to three targets drawn from a mix of core and
+     island vertices, so candidates reach zero, one or both islands *)
+  let st = rng 5 in
+  List.iter
+    (fun (n, k) ->
+      let p, player = core_with_islands st ~n ~k in
+      let core = n - k - 1 in
+      let pool = [ 0; 1; 2; core - 1; core; core + 1; core + (k / 2); n - 2 ] in
+      let pool = Array.of_list pool in
+      let candidates = ref [ [||] ] in
+      let m = Array.length pool in
+      for size = 1 to 3 do
+        Bbng_graph.Combinatorics.iter_combinations ~n:m ~k:size (fun c ->
+            candidates := Array.map (fun i -> pool.(i)) c :: !candidates)
+      done;
+      List.iter
+        (fun version ->
+          List.iter
+            (fun row_cache_cap ->
+              let r = agree_on version p player ?row_cache_cap !candidates in
+              check_layout (Printf.sprintf "islands n=%d" n)
+                Deviation_eval.Level_bitsets r)
+            [ None; Some 1 ])
+        Cost.all_versions)
+    [ (63, 6); (126, 8) ]
+
+let test_reset_shallow_deep_shallow () =
+  (* one context re-seated shallow -> deep -> shallow switches layout
+     each time and prices like a fresh context throughout *)
+  let shallow = Strategy.random (rng 3) (Budget.uniform ~n:124 ~budget:2) in
+  let deep = path_profile 64 in
+  let st = rng 4 in
+  let c = rows_of Cost.Sum shallow 0 in
+  List.iter
+    (fun (name, version, p, player, layout) ->
+      Deviation_eval.reset ~engine:(fixed Deviation_eval.Rows) c version p ~player;
+      let fresh = rows_of version p player in
+      let n = Strategy.n p in
+      for _ = 1 to 200 do
+        let t = random_targets st ~n ~player in
+        check_int name (Deviation_eval.cost fresh t) (Deviation_eval.cost c t)
+      done;
+      check_layout name layout c)
+    [
+      ("shallow", Cost.Sum, shallow, 7, Deviation_eval.Level_bitsets);
+      ("deep", Cost.Max, deep, 30, Deviation_eval.Int_rows);
+      ("shallow again", Cost.Max, shallow, 100, Deviation_eval.Level_bitsets);
+    ]
+
+(* every b = 2 candidate of [player], twice: the first pass caches all
+   rows, the second is measured *)
+let minor_words_per_eval c ~n ~player =
+  let comb = [| 0; 1 |] and buf = [| 0; 0 |] in
+  let pass () =
+    comb.(0) <- 0;
+    comb.(1) <- 1;
+    let evals = ref 0 and continue = ref true in
+    while !continue do
+      buf.(0) <- (if comb.(0) < player then comb.(0) else comb.(0) + 1);
+      buf.(1) <- (if comb.(1) < player then comb.(1) else comb.(1) + 1);
+      ignore (Deviation_eval.cost c buf : int);
+      incr evals;
+      continue := Bbng_graph.Combinatorics.next_combination ~n:(n - 1) comb
+    done;
+    !evals
+  in
+  ignore (pass () : int);
+  let before = Gc.minor_words () in
+  let evals = pass () in
+  let words = Gc.minor_words () -. before in
+  (evals, words)
+
+let test_rows_eval_allocation_free () =
+  (* counted, not timed: once its rows are cached, a Rows evaluation
+     allocates nothing, in either layout (n = 200, b = 2) *)
+  List.iter
+    (fun (name, p, layout) ->
+      List.iter
+        (fun version ->
+          let c = rows_of version p 0 in
+          check_layout name layout c;
+          let evals, words = minor_words_per_eval c ~n:200 ~player:0 in
+          check_true (name ^ ": at least 10k evaluations") (evals >= 10_000);
+          check_true
+            (Printf.sprintf "%s %s: %.0f minor words over %d evaluations" name
+               (Cost.version_name version) words evals)
+            (words = 0.))
+        Cost.all_versions)
+    [
+      ( "random b=2",
+        Strategy.random (rng 11) (Budget.uniform ~n:200 ~budget:2),
+        Deviation_eval.Level_bitsets );
+      ("circulant b=2", circulant ~n:200 ~b:2, Deviation_eval.Int_rows);
+    ]
+
+let test_work_limit_stops_at_pinned_candidate () =
+  (* a combine charges (b+1)·n work units in either layout, so a
+     work-limited audit stops at the same candidate as the int-row
+     combine did: these scanned counts were recorded from it, before
+     level bitsets existed *)
+  let module Budgeted = Bbng_obs.Budgeted in
+  List.iter
+    (fun (name, version, p, player, layout, expected) ->
+      let game = Game.make version (Strategy.budgets p) in
+      let budget = Budgeted.create ~work_limit:200_000 () in
+      let a =
+        Best_response.audit_exact ~budget ~engine:(fixed Deviation_eval.Rows)
+          game p player
+      in
+      check_true (name ^ ": degraded")
+        (a.Best_response.tier = Best_response.Degraded_scan);
+      check_int (name ^ ": scanned") expected a.Best_response.scanned;
+      check_layout name layout (rows_of version p player))
+    [
+      ( "binary tree depth 6, SUM, player 1", Cost.Sum,
+        Bbng_constructions.Binary_tree.profile ~depth:6, 1,
+        Deviation_eval.Level_bitsets, 510 );
+      ( "binary tree depth 6, SUM, player 40", Cost.Sum,
+        Bbng_constructions.Binary_tree.profile ~depth:6, 40,
+        Deviation_eval.Level_bitsets, 485 );
+      ( "random b=2 n=124, MAX, player 3", Cost.Max,
+        Strategy.random (rng 7) (Budget.uniform ~n:124 ~budget:2), 3,
+        Deviation_eval.Level_bitsets, 498 );
+      ( "tripod k=21, MAX, player 0", Cost.Max,
+        Bbng_constructions.Tripod.profile ~k:21, 0, Deviation_eval.Int_rows,
+        1031 );
+    ]
+
 let suite =
   [
     case "accessors" test_accessors;
@@ -329,4 +614,13 @@ let suite =
     prop_current_cost_equivalent;
     prop_reset_equals_fresh;
     case "release then reset" test_release_then_reset;
+    prop_rows_equals_bfs_multiword;
+    case "shallow multi-word profiles take level bitsets"
+      test_shallow_multiword_takes_levels;
+    case "deep profiles take int rows" test_deep_profiles_take_int_rows;
+    case "level bitsets on a disconnected G minus i" test_levels_disconnected;
+    case "reset shallow -> deep -> shallow" test_reset_shallow_deep_shallow;
+    case "rows evaluation allocates nothing" test_rows_eval_allocation_free;
+    case "work limit stops at the pinned candidate"
+      test_work_limit_stops_at_pinned_candidate;
   ]

@@ -56,6 +56,54 @@ let test_each_step_strictly_improves () =
   ignore (Dynamics.run game ~schedule:Schedule.Round_robin ~rule:Dynamics.Exact_best ~on_step start);
   check_true "all steps strict improvements" !ok
 
+let test_old_cost_is_the_movers_cost () =
+  (* the mover's current cost comes from its own search, not a second
+     pricing: it must equal Game.player_cost before every step, under
+     every rule and schedule, and the recorded strategies must chain *)
+  let st = rng 13 in
+  let total = ref 0 in
+  List.iter
+    (fun version ->
+      List.iter
+        (fun rule ->
+          List.iter
+            (fun schedule ->
+              let b = Budget.of_list [ 2; 2; 1; 2; 1; 0; 2; 1; 2 ] in
+              let start = Strategy.random st b in
+              let game = Game.make version b in
+              let cur = ref start and steps = ref 0 in
+              let on_step e =
+                incr steps;
+                let name =
+                  Printf.sprintf "%s %s %s step %d"
+                    (Cost.version_name version) (Dynamics.rule_name rule)
+                    (Schedule.name schedule) e.Dynamics.step
+                in
+                check_int name (Game.player_cost game !cur e.Dynamics.player)
+                  e.Dynamics.old_cost;
+                check_int_array (name ^ " old targets")
+                  (Strategy.strategy !cur e.Dynamics.player)
+                  e.Dynamics.old_targets;
+                cur :=
+                  Strategy.with_strategy !cur ~player:e.Dynamics.player
+                    ~targets:e.Dynamics.new_targets;
+                check_int (name ^ " new cost")
+                  (Game.player_cost game !cur e.Dynamics.player)
+                  e.Dynamics.new_cost
+              in
+              let o =
+                Dynamics.run ~max_steps:200 game ~schedule ~rule ~on_step start
+              in
+              check_int "every step was seen" (Dynamics.steps o) !steps;
+              total := !total + !steps)
+            [ Schedule.Round_robin; Schedule.Random_order 4; Schedule.Max_gain ])
+        [
+          Dynamics.Exact_best; Dynamics.First_improving; Dynamics.Best_swap;
+          Dynamics.First_swap;
+        ])
+    Cost.all_versions;
+  check_true (Printf.sprintf "steps were taken (%d)" !total) (!total > 50)
+
 let test_step_limit () =
   let st = rng 2 in
   let b = Budget.unit_budgets 8 in
@@ -212,4 +260,5 @@ let suite =
     case "rule names" test_rule_names_distinct;
     case "diagnosis events recorded" test_diagnosis_events_recorded;
     prop_convergence_on_small_tree_instances;
+    case "old cost is the mover's cost" test_old_cost_is_the_movers_cost;
   ]

@@ -149,6 +149,34 @@ let prop_realize_arc_count =
       let p = random_profile_of input in
       Digraph.arc_count (Strategy.realize p) = Budget.total (Strategy.budgets p))
 
+(* The draw [Strategy.random] must reproduce: per player, the first b
+   steps of a Fisher-Yates shuffle over a fresh array of its n-1
+   candidates.  Seeded starts (dynamics, the benchmark, the recorded
+   runs) depend on these exact draws. *)
+let reference_random rng budgets =
+  let n = Budget.n budgets in
+  Array.init n (fun i ->
+      let c = Array.init (n - 1) (fun v -> if v < i then v else v + 1) in
+      let b = Budget.get budgets i in
+      for k = 0 to b - 1 do
+        let j = k + Random.State.int rng (n - 1 - k) in
+        let tmp = c.(k) in
+        c.(k) <- c.(j);
+        c.(j) <- tmp
+      done;
+      let s = Array.sub c 0 b in
+      Array.sort compare s;
+      s)
+
+let prop_random_matches_reference =
+  qcheck "random == materialized Fisher-Yates draw"
+    (random_budget_gen ~n_min:1 ~n_max:40) (fun ((_, _, seed) as input) ->
+      let b = random_budget_of input in
+      let p = Strategy.random (rng seed) b in
+      let expected = reference_random (rng seed) b in
+      Array.for_all Fun.id
+        (Array.mapi (fun i s -> Strategy.strategy p i = s) expected))
+
 let suite =
   [
     case "make and access" test_make_and_access;
@@ -168,4 +196,5 @@ let suite =
     prop_random_valid;
     prop_string_roundtrip;
     prop_realize_arc_count;
+    prop_random_matches_reference;
   ]
