@@ -1,4 +1,4 @@
-.PHONY: build test bench smoke fault-smoke check fmt bench-baseline artifacts top-demo flame-demo runs-demo census-demo
+.PHONY: build test bench smoke fault-smoke check fmt artifacts top-demo flame-demo runs-demo census-demo
 
 build:
 	dune build
@@ -9,32 +9,21 @@ test:
 bench:
 	dune exec bench/main.exe
 
+# seconds-long bench pass: appends one row to BENCH_history.jsonl, then
+# gates it with --trend (row checks + same-host median/MAD gate)
 smoke:
 	dune exec bench/main.exe -- --smoke
-	dune exec bench/main.exe -- --validate BENCH_smoke.json
+	dune exec bench/main.exe -- --trend
 
 # crash-safety matrix: SIGKILL / raise / deadline / malformed-input
 # injections against the CLI, asserting artifact and exit-code contracts
 fault-smoke:
 	sh bin/fault_smoke.sh
 
-# build + tests + bench smoke + report-format validation + bench diff
+# build + tests + artifact/fault/telemetry smokes + bench smoke gated by
+# bench --trend + identical-tree and injected-regression self-tests
 check:
 	sh bin/check.sh
-
-# regenerate the BENCH_micro.json / BENCH_smoke.json baselines and
-# promote them to bench/baselines/ (tracked), so bin/check.sh's
-# --diff always has a real reference even on a fresh clone; the
-# in-tree copies are refreshed too and win when present, since ns/run
-# is machine-specific and a local baseline diffs cleaner
-bench-baseline:
-	dune exec bench/main.exe -- perf
-	dune exec bench/main.exe -- --smoke
-	dune exec bench/main.exe -- --validate BENCH_micro.json
-	dune exec bench/main.exe -- --validate BENCH_smoke.json
-	mkdir -p bench/baselines
-	cp BENCH_micro.json BENCH_smoke.json bench/baselines/
-	@echo "baselines refreshed: next 'make check' diffs against them"
 
 # regenerate the golden audit artifacts (equilibrium certificates +
 # dynamics flight recordings) and promote them to test/golden/, where

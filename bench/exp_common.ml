@@ -137,9 +137,9 @@ module Json = Bbng_obs.Json
 
 (* BENCH_<name>.json in the invocation directory: the given fields
    plus a snapshot of every engine counter, the process GC delta and
-   provenance (argv / compiler / word size), so the perf trajectory
-   accumulates comparable, self-describing data run over run — and
-   bench/main.exe --diff can gate on it. *)
+   provenance (argv / compiler / word size) — a self-describing
+   snapshot of one experiment's figures.  The perf gate reads
+   BENCH_history.jsonl instead. *)
 let write_bench_report ~name fields =
   let path = Printf.sprintf "BENCH_%s.json" name in
   let json =
@@ -151,7 +151,7 @@ let write_bench_report ~name fields =
       @ Bbng_obs.Stats.provenance_fields ())
   in
   (* temp + atomic rename: a crashed run never leaves a torn BENCH
-     report for --diff to choke on *)
+     report behind *)
   Bbng_obs.Atomic_io.write_file path (fun oc ->
       output_string oc (Json.to_string json);
       output_char oc '\n');

@@ -1,12 +1,13 @@
 (* Append-only bench trajectory: every perf run adds one JSON line to
-   BENCH_history.jsonl — provenance, per-bench ns/words/r², and a
-   digest of the engine counters — so `bench --trend` has a recorded
-   history to gate against instead of a single overwritten report.
+   BENCH_history.jsonl — provenance, a host key, per-bench ns/words/r²,
+   and a digest of the engine counters — so `bench --trend` has a
+   recorded history to gate against.  It is the only perf store.
 
    The file is append-only on purpose: runs from different machines or
-   branches coexist, and the robust median/MAD in Trend absorbs the
-   odd outlier line.  Reading tolerates torn or alien lines (a crash
-   mid-append loses at most its own line). *)
+   branches coexist, Trend gates only against rows of the newest row's
+   host, and the robust median/MAD absorbs the odd outlier line.
+   Reading tolerates torn or alien lines (a crash mid-append loses at
+   most its own line). *)
 
 module Json = Bbng_obs.Json
 
@@ -16,13 +17,13 @@ type bench = {
   name : string;
   ns : float option;
   minor : float option;
-  major : float option;
   r2 : float option;
 }
 
 type entry = {
   ts : string;
   report : string;
+  host : string option;  (* None on rows recorded before host keys *)
   benches : bench list;
   counters_digest : string;
 }
@@ -40,6 +41,37 @@ let counters_digest () =
   Digest.to_hex
     (Digest.string (Json.to_string (Bbng_obs.Stats.counters_json ())))
 
+(* What this process can observe of the machine it times on: the CPU
+   model (the hostname when /proc/cpuinfo is unreadable), the domain
+   count and the compiler.  ns figures only compare within one key.  It
+   lives in the history row alone, never in Stats.provenance_fields:
+   certificates fold those in and their bytes must not depend on the
+   host. *)
+let host_key () =
+  let cpu_model () =
+    In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
+        let rec scan () =
+          match In_channel.input_line ic with
+          | None -> None
+          | Some line -> (
+              match String.index_opt line ':' with
+              | Some i when String.trim (String.sub line 0 i) = "model name" ->
+                  Some
+                    (String.trim
+                       (String.sub line (i + 1) (String.length line - i - 1)))
+              | _ -> scan ())
+        in
+        scan ())
+  in
+  let machine =
+    match cpu_model () with
+    | Some m -> m
+    | None | (exception Sys_error _) -> Unix.gethostname ()
+  in
+  Printf.sprintf "%s; %d domains; OCaml %s" machine
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
+
 let num = function Some v -> Json.Float v | None -> Json.Null
 
 let entry_json ~report benches =
@@ -47,6 +79,7 @@ let entry_json ~report benches =
     ([
        ("ts", Json.Str (utc_timestamp ()));
        ("report", Json.Str report);
+       ("host", Json.Str (host_key ()));
        ( "results",
          Json.List
            (List.map
@@ -56,7 +89,6 @@ let entry_json ~report benches =
                     ("name", Json.Str b.name);
                     ("ns_per_run", num b.ns);
                     ("minor_words_per_run", num b.minor);
-                    ("major_words_per_run", num b.major);
                     ("r_square_time", num b.r2);
                   ])
               benches) );
@@ -97,7 +129,6 @@ let entry_of_json j =
                     name;
                     ns = float_field "ns_per_run" r;
                     minor = float_field "minor_words_per_run" r;
-                    major = float_field "major_words_per_run" r;
                     r2 = float_field "r_square_time" r;
                   }
             | None -> None)
@@ -107,6 +138,7 @@ let entry_of_json j =
         {
           ts = Option.value ~default:"?" (str_field "ts" j);
           report;
+          host = str_field "host" j;
           benches;
           counters_digest =
             Option.value ~default:"" (str_field "counters_digest" j);

@@ -6,10 +6,8 @@
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- table1 figures   # a selection
      dune exec bench/main.exe -- --smoke          # seconds-long bench sanity pass
-     dune exec bench/main.exe -- --validate BENCH_smoke.json
      dune exec bench/main.exe -- --validate-metrics METRICS.prom
      dune exec bench/main.exe -- --csr-oracle CENSUS.jsonl  # CSR vs legacy answers
-     dune exec bench/main.exe -- --diff OLD.json NEW.json   # regression gate
      dune exec bench/main.exe -- --trend [HISTORY.jsonl]    # gate vs recorded history
      dune exec bench/main.exe -- --profile OUT.folded perf  # folded stacks of a run
    Known experiment names: table1 figures hardness existence weighted
@@ -34,56 +32,6 @@ let experiments =
     ("artifacts", Exp_artifacts.run);
     ("perf", Perf.run);
   ]
-
-(* Check that a BENCH_*.json report parses and carries a usable ns/run
-   figure for every test — this is what keeps report-format regressions
-   inside tier-1-adjacent checks (bin/check.sh). *)
-let validate file =
-  let read_all ic =
-    let n = in_channel_length ic in
-    really_input_string ic n
-  in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "%s: INVALID — %s\n" file msg;
-        exit 1)
-      fmt
-  in
-  let ic = try open_in file with Sys_error e -> fail "%s" e in
-  let text = read_all ic in
-  close_in ic;
-  let module Json = Bbng_obs.Json in
-  let json =
-    try Json.of_string text with Json.Parse_error e -> fail "parse error: %s" e
-  in
-  (match Json.member "report" json with
-  | Some (Json.Str _) -> ()
-  | _ -> fail "missing \"report\" name");
-  (match Json.member "results" json with
-  | Some (Json.List (_ :: _ as results)) ->
-      List.iter
-        (fun r ->
-          (match (Json.member "name" r, Json.member "ns_per_run" r) with
-          | Some (Json.Str _), Some (Json.Float ns) when ns > 0. -> ()
-          | Some (Json.Str _), Some (Json.Int ns) when ns > 0 -> ()
-          | Some (Json.Str name), _ -> fail "no ns_per_run for %S" name
-          | _ -> fail "result entry without a name");
-          (* a bad OLS fit is a warning, not invalidity: the figures
-             parse fine, but they are too noisy to trust in a diff or
-             to let silently pollute the recorded history *)
-          (match (Json.member "name" r, Json.member "r_square_time" r) with
-          | Some (Json.Str name), Some (Json.Float r2) when r2 < 0.8 ->
-              Printf.printf
-                "%s: warning: %s r_square_time %.3f < 0.8 (noisy fit)\n" file
-                name r2
-          | _ -> ()))
-        results
-  | _ -> fail "missing or empty \"results\"");
-  (match Json.member "counters" json with
-  | Some (Json.Obj _) -> ()
-  | _ -> fail "missing \"counters\" snapshot");
-  Printf.printf "%s: ok\n" file
 
 (* Check that a --metrics-out snapshot is a well-formed OpenMetrics
    exposition: families typed and HELP'd before their samples, counter
@@ -158,12 +106,6 @@ let () =
       Perf.smoke ();
       Bbng_obs.Ledger.note_outcome "ok";
       exit 0
-  | _ :: "--validate" :: file :: _ ->
-      validate file;
-      exit 0
-  | _ :: "--validate" :: [] ->
-      Printf.eprintf "--validate needs a file argument\n";
-      exit 2
   | _ :: "--validate-metrics" :: file :: _ ->
       validate_metrics file;
       exit 0
@@ -175,12 +117,6 @@ let () =
       exit 0
   | _ :: "--csr-oracle" :: [] ->
       Printf.eprintf "--csr-oracle needs a CENSUS_*.jsonl argument\n";
-      exit 2
-  | _ :: "--diff" :: old_file :: new_file :: _ ->
-      Diff.run old_file new_file;
-      exit 0
-  | _ :: "--diff" :: _ ->
-      Printf.eprintf "--diff needs OLD.json and NEW.json arguments\n";
       exit 2
   | _ :: "--trend" :: rest ->
       (* optional positional: an alternate history file *)

@@ -42,12 +42,12 @@ let census_plan = Census.make_plan ~shard_size:9 census_game
 let census_shard_results =
   List.filter_map (Census.scan_shard census_game) (Census.shards census_plan)
 
-(* Named thunks shared by the Bechamel tests and the warm-up pass:
-   the first executions of a workload pay for lazy caches, branch
-   predictors and the allocator reaching steady state, which is what
-   made deviation-incremental-sun30's OLS fit collapse (r^2 ~ 0.53 in
-   recorded smoke runs) — running each thunk a few times before
-   Bechamel samples restores the fit. *)
+(* Named thunks shared by the Bechamel tests, the warm-up pass and the
+   allocation count: the first executions of a workload pay for lazy
+   caches, branch predictors and the allocator reaching steady state,
+   which is what made deviation-incremental-sun30's OLS fit collapse
+   (r^2 ~ 0.53 in recorded smoke runs) — running each thunk a few times
+   before Bechamel samples restores the fit. *)
 let deviation_ctx = Deviation_eval.make Cost.Sum sun30 ~player:5
 
 (* Preallocated scratch for the raw CSR kernel bench: with dist/queue
@@ -119,10 +119,31 @@ let warm_up () = List.iter (fun (_, f) -> for _ = 1 to 10 do f () done) workload
 type result = {
   test : string;
   ns : float option;
-  minor : float option;          (* minor words / run *)
-  major : float option;          (* major words / run — GC pressure *)
+  minor : float;  (* minor words / run, counted exactly *)
   r2 : float option;
 }
+
+(* Runs per allocation batch.  The first batch absorbs what is paid
+   once (lazy caches, amortized table growth); the second, counted
+   batch then reads the same Gc.minor_words delta in every run and
+   process, so words/run is an exact figure rather than a fit. *)
+let words_batch = 200
+
+let minor_words_per_run f =
+  let batch () =
+    let before = Gc.minor_words () in
+    for _ = 1 to words_batch do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (batch ());
+  batch () /. float_of_int words_batch
+
+(* Bechamel sampling rounds per benchmark.  A load spike from another
+   process lands in one round, and the median round's fit shrugs it
+   off where a single OLS fit over every sample would not. *)
+let ns_rounds = 3
 
 let measure ~quota =
   (* quota floor: below ~50ms per bench the cheap workloads get too few
@@ -132,51 +153,52 @@ let measure ~quota =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances =
-    Instance.[ monotonic_clock; minor_allocated; major_allocated ]
-  in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let times = Analyze.all ols Instance.monotonic_clock raw in
-  let minors = Analyze.all ols Instance.minor_allocated raw in
-  let majors = Analyze.all ols Instance.major_allocated raw in
-  let estimate results name =
-    match Hashtbl.find_opt results name with
-    | Some r -> (
-        match Analyze.OLS.estimates r with
-        | Some (est :: _) -> Some est
-        | Some [] | None -> None)
-    | None -> None
+  let rounds =
+    List.init ns_rounds (fun _ ->
+        Analyze.all ols Instance.monotonic_clock
+          (Benchmark.all cfg Instance.[ monotonic_clock ] tests))
   in
-  let r_square name =
-    match Hashtbl.find_opt times name with
-    | Some r -> Analyze.OLS.r_square r
-    | None -> None
+  (* the (ns, r²) of the median round *)
+  let timing name =
+    let fits =
+      List.filter_map
+        (fun times ->
+          match Hashtbl.find_opt times ("bbng/" ^ name) with
+          | Some fit -> (
+              match Analyze.OLS.estimates fit with
+              | Some (est :: _) -> Some (est, Analyze.OLS.r_square fit)
+              | Some [] | None -> None)
+          | None -> None)
+        rounds
+    in
+    match List.sort compare fits with
+    | [] -> (None, None)
+    | sorted ->
+        let ns, r2 = List.nth sorted (List.length sorted / 2) in
+        (Some ns, r2)
   in
-  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) times []) in
-  List.map
-    (fun name ->
-      {
-        test = name;
-        ns = estimate times name;
-        minor = estimate minors name;
-        major = estimate majors name;
-        r2 = r_square name;
-      })
-    names
+  List.sort compare
+    (List.map
+       (fun (name, f) ->
+         let ns, r2 = timing name in
+         { test = "bbng/" ^ name; ns; minor = minor_words_per_run f; r2 })
+       workloads)
+
+let words_cell w =
+  if Float.is_integer w then Printf.sprintf "%.0f" w else Printf.sprintf "%.3f" w
 
 let print_table results =
   let cell = function Some v -> Printf.sprintf "%.0f" v | None -> "?" in
   let r2_cell = function Some v -> Printf.sprintf "%.4f" v | None -> "?" in
   let table =
     Bbng_analysis.Table.make
-      ~headers:
-        [ "benchmark"; "ns/run"; "minor words/run"; "major words/run"; "r2(time)" ]
+      ~headers:[ "benchmark"; "ns/run"; "minor words/run"; "r2(time)" ]
   in
   List.iter
     (fun r ->
       Bbng_analysis.Table.add_row table
-        [ r.test; cell r.ns; cell r.minor; cell r.major; r2_cell r.r2 ])
+        [ r.test; cell r.ns; words_cell r.minor; r2_cell r.r2 ])
     results;
   Bbng_analysis.Table.print table
 
@@ -195,60 +217,32 @@ let rows_vs_bfs_speedup results =
 
 let report ~name results =
   let module Json = Bbng_obs.Json in
-  let num = function Some v -> Json.Float v | None -> Json.Null in
-  (* the overwritten BENCH_<name>.json is the latest snapshot; the
-     history line is the trajectory `bench --trend` gates against *)
+  (* the history line is the trajectory `bench --trend` gates against *)
   History.append ~report:name
     (List.map
        (fun r ->
-         {
-           History.name = r.test;
-           ns = r.ns;
-           minor = r.minor;
-           major = r.major;
-           r2 = r.r2;
-         })
+         { History.name = r.test; ns = r.ns; minor = Some r.minor; r2 = r.r2 })
        results);
   (* the run's ledger row carries the headline figures too, so
      `bbng_cli runs diff` can gate two bench runs without re-opening
-     their reports (speedup-style ratios are excluded: diff treats
-     "up" as bad, which only holds for costs) *)
+     the history (speedup-style ratios are excluded: diff treats "up"
+     as bad, which only holds for costs) *)
   List.iter
     (fun r ->
-      (match r.ns with
-      | Some ns ->
+      Option.iter
+        (fun ns ->
           Bbng_obs.Ledger.add_metric
             ("bench." ^ r.test ^ ".ns_per_run")
-            (Json.Float ns)
-      | None -> ());
-      match r.minor with
-      | Some mw ->
-          Bbng_obs.Ledger.add_metric
-            ("bench." ^ r.test ^ ".minor_words_per_run")
-            (Json.Float mw)
-      | None -> ())
-    results;
-  Exp_common.write_bench_report ~name
-    [
-      ("rows_vs_bfs_speedup", num (rows_vs_bfs_speedup results));
-      ( "results",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("name", Json.Str r.test);
-                   ("ns_per_run", num r.ns);
-                   ("minor_words_per_run", num r.minor);
-                   ("major_words_per_run", num r.major);
-                   ("r_square_time", num r.r2);
-                 ])
-             results) );
-    ]
+            (Json.Float ns))
+        r.ns;
+      Bbng_obs.Ledger.add_metric
+        ("bench." ^ r.test ^ ".minor_words_per_run")
+        (Json.Float r.minor))
+    results
 
 let run_with ~report_name ~quota () =
   Exp_common.section
-    "PERF — Bechamel micro-benchmarks (monotonic clock + minor/major allocations)";
+    "PERF — Bechamel micro-benchmarks (monotonic clock) + exact minor words";
   let results = measure ~quota in
   print_table results;
   (match rows_vs_bfs_speedup results with
@@ -260,7 +254,6 @@ let run_with ~report_name ~quota () =
 
 let run () = run_with ~report_name:"micro" ~quota:0.25 ()
 
-(* a few-second sanity pass: same tests, tiny quota, own report file —
-   bin/check.sh validates that BENCH_smoke.json stays parseable and
-   diffs it against the last committed baseline *)
+(* a few-second sanity pass: same tests, tiny quota, its own report
+   flavor in the history — bin/check.sh gates it with `--trend` *)
 let smoke () = run_with ~report_name:"smoke" ~quota:0.02 ()

@@ -2,18 +2,23 @@
    against the robust median/MAD of the runs before it.  Direction
    arrows per bench, non-zero exit on a significant regression.
 
+   The latest row is checked first: every benchmark needs a positive
+   ns_per_run and an integer minor_words_per_run (the counts are exact,
+   so a fraction means the count itself broke); a noisy time fit
+   (r² < 0.8) is a warning.
+
+   Only earlier rows of the same report flavor *and* the same host key
+   gate: ns figures from another machine are listed, never compared.
    Robustness over the whole history (Bbng_analysis.Robust): the
-   median baseline shrugs off a one-off slow machine in the record,
-   and the MAD-derived gate adapts to each bench's own noise; the
-   --diff percentage threshold (BBNG_BENCH_DIFF_THRESHOLD) and the
-   same absolute floors bound it from below.
+   median baseline shrugs off a one-off slow run in the record, and
+   the MAD-derived gate adapts to each bench's own noise; Robust's
+   percentage threshold and its ns floor bound it from below.
 
    Gating is depth-aware: a regression only fails the run (exit 1)
    once the benchmark has at least [hard_gate_depth] recorded points
    (history + the latest) — below that the MAD is too poorly
    estimated to hard-fail CI on, so shallow-history regressions are
-   printed as warnings and the exit stays 0.  BBNG_BENCH_STRICT=1
-   escalates warnings to failures regardless of depth. *)
+   printed as warnings and the exit stays 0. *)
 
 module Robust = Bbng_analysis.Robust
 
@@ -21,11 +26,6 @@ module Robust = Bbng_analysis.Robust
    hard-fails; 5 points = 4-sample MAD, the smallest spread estimate
    worth trusting *)
 let hard_gate_depth = 5
-
-let strict () =
-  match Sys.getenv_opt "BBNG_BENCH_STRICT" with
-  | Some "1" -> true
-  | Some _ | None -> false
 
 let arrow = function
   | Some Robust.Regressed -> "↑ REGRESSED"
@@ -48,13 +48,53 @@ let z_cell ~history latest =
       | Some z -> Printf.sprintf "%+.1f" z
       | None -> "-")
 
+let plural n = if n = 1 then "" else "s"
+
+(* the checks a history row must pass before it may gate or be gated *)
+let validate ~file (latest : History.entry) =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.printf "bench --trend: %s: latest run INVALID — %s\n" file msg;
+        exit 1)
+      fmt
+  in
+  if latest.History.benches = [] then fail "no results";
+  List.iter
+    (fun (b : History.bench) ->
+      (match b.History.ns with
+      | Some ns when ns > 0. -> ()
+      | _ -> fail "no positive ns_per_run for %S" b.History.name);
+      (match b.History.minor with
+      | Some w when Float.is_integer w && w >= 0. -> ()
+      | _ -> fail "no integer minor_words_per_run for %S" b.History.name);
+      match b.History.r2 with
+      | Some r2 when r2 < 0.8 ->
+          Printf.printf "warning: %s r_square_time %.3f < 0.8 (noisy fit)\n"
+            b.History.name r2
+      | _ -> ())
+    latest.History.benches
+
+let host_label = function
+  | Some h -> Printf.sprintf "host %S" h
+  | None -> "no host key (legacy)"
+
+(* earlier rows of this flavor from other hosts: listed, never gated *)
+let list_other_hosts ~latest others =
+  let hosts = List.sort_uniq compare (List.map (fun e -> e.History.host) others) in
+  List.iter
+    (fun host ->
+      let n = List.length (List.filter (fun e -> e.History.host = host) others) in
+      Printf.printf "  not gating against %d %S run%s from %s\n" n
+        latest.History.report (plural n) (host_label host))
+    hosts
+
 let run ?file () =
   let file = Option.value ~default:History.file file in
   let entries, skipped = History.load ~file () in
   if skipped > 0 then
     Printf.printf "bench --trend: skipped %d unparseable line%s in %s\n" skipped
-      (if skipped = 1 then "" else "s")
-      file;
+      (plural skipped) file;
   match List.rev entries with
   | [] ->
       Printf.printf
@@ -63,29 +103,36 @@ let run ?file () =
         file;
       exit 0
   | latest :: earlier_rev -> (
-      (* baseline = every earlier run of the same report flavor, so a
-         smoke run never gates against micro-quota figures *)
-      let history_entries =
+      validate ~file latest;
+      (* baseline = every earlier run of the same report flavor on the
+         same host, so a smoke run never gates against micro-quota
+         figures nor against another machine's clock *)
+      let same_flavor =
         List.rev
           (List.filter (fun e -> e.History.report = latest.History.report)
              earlier_rev)
       in
+      let history_entries, others =
+        List.partition
+          (fun e ->
+            latest.History.host <> None && e.History.host = latest.History.host)
+          same_flavor
+      in
+      Printf.printf "bench trend: latest %S run (%s, %s)\n"
+        latest.History.report latest.History.ts
+        (host_label latest.History.host);
+      list_other_hosts ~latest others;
       match history_entries with
       | [] ->
           Printf.printf
-            "bench --trend: only one %S run recorded in %s — nothing to gate \
-             against yet\n"
+            "bench --trend: no earlier %S run from this host in %s — nothing \
+             to gate against yet\n"
             latest.History.report file;
           exit 0
       | _ ->
-          let threshold = Diff.threshold_pct () in
-          Printf.printf
-            "bench trend: latest %S run (%s) vs %d earlier run%s in %s \
-             (threshold %.0f%%)\n"
-            latest.History.report latest.History.ts
-            (List.length history_entries)
-            (if List.length history_entries = 1 then "" else "s")
-            file threshold;
+          let depth_earlier = List.length history_entries in
+          Printf.printf "  gating against %d earlier run%s (threshold %.0f%%)\n"
+            depth_earlier (plural depth_earlier) Robust.threshold_pct;
           let table =
             Bbng_analysis.Table.make
               ~headers:
@@ -110,38 +157,26 @@ let run ?file () =
               in
               let ns_hist = series (fun h -> h.History.ns) in
               let mw_hist = series (fun h -> h.History.minor) in
-              let classify ~floor history latest =
+              let classify ~metric history latest =
                 match (history, latest) with
                 | [], _ | _, None -> None
-                | _, Some l ->
-                    Robust.classify ~threshold_pct:threshold ~floor
-                      ~history l
+                | _, Some l -> Robust.classify ~metric ~history l
               in
-              (* same absolute floors as --diff: sub-100ns and sub-64-word
-                 figures are measurement noise; a words series touching
-                 an exact 0 carries a collapsed OLS fit, so it gets the
-                 wider fit-collapse floor *)
-              let ns_trend = classify ~floor:Diff.ns_floor ns_hist b.History.ns in
-              let mw_floor =
-                let zero = function Some 0. -> true | _ -> false in
-                if zero b.History.minor || List.mem 0. mw_hist then
-                  Diff.words_fit_collapse
-                else Diff.words_floor
+              let ns_trend = classify ~metric:"ns_per_run" ns_hist b.History.ns in
+              let mw_trend =
+                classify ~metric:"minor_words_per_run" mw_hist b.History.minor
               in
-              let mw_trend = classify ~floor:mw_floor mw_hist b.History.minor in
               let worst =
                 match (ns_trend, mw_trend) with
                 | Some Robust.Regressed, _ | _, Some Robust.Regressed ->
                     let depth = 1 + List.length ns_hist in
-                    if strict () || depth >= hard_gate_depth then incr hard
+                    if depth >= hard_gate_depth then incr hard
                     else begin
                       incr soft;
                       Printf.printf
                         "warning: %s regressed with only %d recorded \
                          point%s (< %d) — not gating yet\n"
-                        b.History.name depth
-                        (if depth = 1 then "" else "s")
-                        hard_gate_depth
+                        b.History.name depth (plural depth) hard_gate_depth
                     end;
                     Some Robust.Regressed
                 | Some Robust.Improved, _ | _, Some Robust.Improved ->
@@ -165,17 +200,15 @@ let run ?file () =
           if !hard > 0 then begin
             Printf.printf
               "%d bench%s regressed past the robust gate (median + max(3*MAD \
-               sigma, %.0f%%, floor))\n"
+               sigma, %.0f%%, ns floor))\n"
               !hard
               (if !hard = 1 then "" else "es")
-              threshold;
+              Robust.threshold_pct;
             exit 1
           end
           else if !soft > 0 then
             Printf.printf
               "trend: %d shallow-history regression%s (warning only below %d \
-               recorded points; BBNG_BENCH_STRICT=1 escalates)\n"
-              !soft
-              (if !soft = 1 then "" else "s")
-              hard_gate_depth
+               recorded points)\n"
+              !soft (plural !soft) hard_gate_depth
           else Printf.printf "trend: no significant regressions\n")

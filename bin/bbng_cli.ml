@@ -274,34 +274,34 @@ let version_term =
 let seed_term =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let budgets_term =
+(* One -b parser: a token that is not an integer gets the shape hint,
+   an out-of-range budget gets Budget.validate's message naming the
+   entry (both exit 124, cmdliner's usage code). *)
+let budgets_conv =
   let parse s =
-    try
-      Ok
-        (Budget.of_list
-           (List.map int_of_string (String.split_on_char ',' (String.trim s))))
-    with _ -> Error (`Msg "budgets must look like 0,1,2,1")
+    match
+      List.map int_of_string (String.split_on_char ',' (String.trim s))
+    with
+    | exception Failure _ -> Error (`Msg "budgets must look like 0,1,2,1")
+    | l -> (
+        match Budget.of_list l with
+        | b -> Ok b
+        | exception Invalid_argument msg -> Error (`Msg msg))
   in
-  let print ppf b = Budget.pp ppf b in
+  Arg.conv (parse, Budget.pp)
+
+let budgets_term =
   Arg.(
     required
-    & opt (some (conv (parse, print))) None
+    & opt (some budgets_conv) None
     & info [ "budgets"; "b" ] ~docv:"B1,B2,..." ~doc:"Budget vector.")
 
 (* Optional variant for subcommands where the instance can come from
    elsewhere (dynamics --resume reads it out of the recording). *)
 let budgets_opt_term =
-  let parse s =
-    try
-      Ok
-        (Budget.of_list
-           (List.map int_of_string (String.split_on_char ',' (String.trim s))))
-    with _ -> Error (`Msg "budgets must look like 0,1,2,1")
-  in
-  let print ppf b = Budget.pp ppf b in
   Arg.(
     value
-    & opt (some (conv (parse, print))) None
+    & opt (some budgets_conv) None
     & info [ "budgets"; "b" ] ~docv:"B1,B2,..."
         ~doc:"Budget vector (not needed with --resume).")
 
@@ -374,7 +374,7 @@ let construct_cmd =
   let budgets =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some budgets_conv) None
       & info [ "budgets"; "b" ] ~docv:"B1,B2,..." ~doc:"Budget vector (existence).")
   in
   let run () family version k t depth n budgets =
@@ -383,10 +383,7 @@ let construct_cmd =
     | "existence" -> (
         match budgets with
         | None -> `Error (false, "existence requires --budgets")
-        | Some s ->
-            let b =
-              Budget.of_list (List.map int_of_string (String.split_on_char ',' s))
-            in
+        | Some b ->
             Format.printf "case: %s@." (Existence.case_name (Existence.case_of b));
             report_profile version (Existence.construct b);
             `Ok ())
@@ -1574,11 +1571,6 @@ let runs_show_cmd =
   in
   Cmd.v info Term.(ret (const run $ obs_term $ runs_ledger_term $ spec))
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let runs_diff_cmd =
   let a_spec =
     Arg.(
@@ -1596,43 +1588,21 @@ let runs_diff_cmd =
       & opt (some float) None
       & info [ "threshold" ] ~docv:"PCT"
           ~doc:
-            "Regression threshold in percent (default: \
-             $(b,BBNG_BENCH_DIFF_THRESHOLD) or 25, the same knob bench \
-             --diff uses).")
+            "Regression threshold in percent (default 25, the threshold \
+             bench --trend gates with).")
   in
   let run () ledger threshold a_spec b_spec =
     let ledger = the_ledger ledger in
     let rows = load_rows_or_note ledger in
     let a = find_row_or_exit rows a_spec in
     let b = find_row_or_exit rows b_spec in
-    let pct =
-      match threshold with
-      | Some t -> t
-      | None -> (
-          match
-            Option.bind
-              (Sys.getenv_opt "BBNG_BENCH_DIFF_THRESHOLD")
-              float_of_string_opt
-          with
-          | Some t when t > 0. -> t
-          | Some _ | None -> 25.)
-    in
+    let pct = Option.value ~default:Bbng_analysis.Robust.threshold_pct threshold in
     Printf.printf "diff %s (%s %s)\n  -> %s (%s %s)  [threshold %g%%]\n"
       a.Obs.Ledger.run_id a.Obs.Ledger.subcommand a.Obs.Ledger.outcome
       b.Obs.Ledger.run_id b.Obs.Ledger.subcommand b.Obs.Ledger.outcome pct;
-    (* the same gate shape as bench --diff/--trend (PR 7): a one-point
-       history makes Robust fall back to the percentage term, and the
-       ns/words floors silence sub-noise absolute wiggles.  A words
-       metric reading exactly 0 on one side is a collapsed minor-words
-       OLS fit (the true allocation of a sub-2k-word workload on a
-       loaded machine), so zero-sided words deltas get the wider
-       fit-collapse floor — the delta is unverifiable below it *)
-    let floor_for k va vb =
-      if contains_substring k "words" then
-        if va = 0. || vb = 0. then 2048. else 64.
-      else if contains_substring k "ns" then 100.
-      else 0.
-    in
+    (* the gate bench --trend applies, on a one-point history: Robust
+       falls back to the percentage term, and its ns floor silences
+       sub-100ns timing wiggles *)
     let ma = Obs.Ledger.numeric_metrics a in
     let mb = Obs.Ledger.numeric_metrics b in
     let regressions = ref 0 in
@@ -1647,8 +1617,8 @@ let runs_diff_cmd =
             in
             let tag =
               match
-                Bbng_analysis.Robust.classify ~threshold_pct:pct
-                  ~floor:(floor_for k va vb) ~history:[ va ] vb
+                Bbng_analysis.Robust.classify ~threshold_pct:pct ~metric:k
+                  ~history:[ va ] vb
               with
               | Some Bbng_analysis.Robust.Regressed ->
                   incr regressions;

@@ -1,13 +1,12 @@
 #!/bin/sh
-# Tier-1-adjacent gate: build, full test suite, then a seconds-long
-# bench smoke whose BENCH_smoke.json must stay machine-parseable —
-# report-format regressions fail here, not in a nightly perf run —
-# and is diffed against the last local baseline (make bench-baseline)
-# so hot-path regressions are at least shouted about.  The diff is
-# warn-only by default (one-off machine load inflates ns/run); set
-# BBNG_BENCH_STRICT=1 to make a past-threshold regression fail the
-# gate, and BBNG_BENCH_DIFF_THRESHOLD=<pct> to tune the noise
-# threshold.
+# Tier-1-adjacent gate: build, full test suite, audit artifacts and
+# fault/telemetry/profiling smokes, then a seconds-long bench smoke
+# that appends one row to BENCH_history.jsonl.  `bench --trend` is the
+# one perf gate: it checks that row (positive ns/run, integer exact
+# minor words/run) and hard-fails a regression against the robust
+# median/MAD of earlier rows from the same host.  The gate is gated
+# too: synthetic histories must pass and fail as specified, and two
+# back-to-back smokes on this tree must record identical allocation.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -98,68 +97,51 @@ cmp -s _build/PROF.folded _build/PROF.offline.folded || {
 }
 
 echo "== bench trend self-test (synthetic history) =="
-# the gate itself is gated: a steady synthetic history must pass and an
-# injected 2.5x slowdown must exit non-zero
+# the gate itself is gated: a steady synthetic history must pass, an
+# injected 2.5x slowdown must exit non-zero, and the same slowdown
+# measured against another host's rows must not gate at all
 mkdir -p _build
+selftest_row() { # HOST NS
+  printf '{"ts":"t","report":"selftest","host":"%s","results":[{"name":"bbng/x","ns_per_run":%s,"minor_words_per_run":500,"r_square_time":0.99}],"counters_digest":"d"}\n' "$1" "$2"
+}
 : > _build/TREND_selftest.jsonl
+: > _build/TREND_otherhost.jsonl
 for ns in 1000 1010 990 1005; do
-  printf '%s\n' "{\"ts\":\"t\",\"report\":\"selftest\",\"results\":[{\"name\":\"bbng/x\",\"ns_per_run\":$ns,\"minor_words_per_run\":500,\"major_words_per_run\":0,\"r_square_time\":0.99}],\"counters_digest\":\"d\"}" \
-    >> _build/TREND_selftest.jsonl
+  selftest_row host-a "$ns" >> _build/TREND_selftest.jsonl
+  selftest_row host-b "$ns" >> _build/TREND_otherhost.jsonl
 done
 dune exec bench/main.exe -- --trend _build/TREND_selftest.jsonl > /dev/null || {
   echo "check: trend flagged a steady synthetic history"
   exit 1
 }
-printf '%s\n' "{\"ts\":\"t\",\"report\":\"selftest\",\"results\":[{\"name\":\"bbng/x\",\"ns_per_run\":2500,\"minor_words_per_run\":500,\"major_words_per_run\":0,\"r_square_time\":0.99}],\"counters_digest\":\"d\"}" \
-  >> _build/TREND_selftest.jsonl
+selftest_row host-a 2500 >> _build/TREND_selftest.jsonl
 if dune exec bench/main.exe -- --trend _build/TREND_selftest.jsonl > /dev/null; then
   echo "check: trend missed an injected 2.5x slowdown"
   exit 1
 fi
+selftest_row host-a 2500 >> _build/TREND_otherhost.jsonl
+dune exec bench/main.exe -- --trend _build/TREND_otherhost.jsonl > /dev/null || {
+  echo "check: trend gated against another host's rows"
+  exit 1
+}
 
 echo "== bench smoke =="
-# snapshot the pre-run baseline before --smoke overwrites it; on a
-# fresh clone (no local run yet) fall back to the committed reference
-# under bench/baselines/ so the diff always compares something real
-baseline=""
-if [ -f BENCH_smoke.json ]; then
-  mkdir -p _build
-  cp BENCH_smoke.json _build/BENCH_smoke.baseline.json
-  baseline=_build/BENCH_smoke.baseline.json
-elif [ -f bench/baselines/BENCH_smoke.json ]; then
-  baseline=bench/baselines/BENCH_smoke.json
-fi
 dune exec bench/main.exe -- --smoke
-
-echo "== validate BENCH_smoke.json =="
-dune exec bench/main.exe -- --validate BENCH_smoke.json
-
-if [ -n "$baseline" ]; then
-  echo "== bench diff vs baseline =="
-  if dune exec bench/main.exe -- --diff "$baseline" BENCH_smoke.json; then
-    :
-  elif [ "${BBNG_BENCH_STRICT:-0}" = "1" ]; then
-    echo "check: bench regression (BBNG_BENCH_STRICT=1)"
-    exit 1
-  else
-    echo "check: bench diff WARNING only (set BBNG_BENCH_STRICT=1 to fail on regressions)"
-  fi
-fi
 
 echo "== bench trend vs recorded history =="
 # the smoke run above appended to BENCH_history.jsonl; gate the latest
 # run against the robust median/MAD of the recorded trajectory.  The
 # gate is depth-aware (bench/trend.ml): a regression hard-fails once a
-# benchmark has >=5 recorded points, and is a warning below that — so
-# this stage fails the check outright instead of the old warn-only
-# wrapper (BBNG_BENCH_STRICT=1 escalates shallow-history warnings too).
+# benchmark has >=5 recorded points from this host, and is a warning
+# below that; rows from other hosts are listed but never gate.
 dune exec bench/main.exe -- --trend
 
 echo "== run ledger: index, list, diff, injected regression =="
 # two consecutive bench smoke runs on the unchanged tree must index
-# into the same ledger and diff green; a synthetic 2.5x metric
-# regression must make `runs diff` exit non-zero.  The smokes run in a
-# scratch dir so their reports/history don't touch the repo's record.
+# into the same ledger, record identical exact minor words and diff
+# green; a synthetic 2.5x metric regression and a synthetic census
+# count regression must make `runs diff` exit non-zero.  The smokes run
+# in a scratch dir so their history rows don't touch the repo's record.
 cli=_build/default/bin/bbng_cli.exe
 bench=_build/default/bench/main.exe
 ledir=_build/ledger_stage
@@ -172,8 +154,18 @@ root=$(pwd)
   echo "check: expected 2 indexed bench runs in the ledger"
   exit 1
 }
+# allocation is counted, not fitted: the same tree allocates the same
+# words per run in every process, to the word
+words() {
+  sed -n "$1p" "$ledir/CHECK_ledger.jsonl" \
+    | grep -o '"bench\.[^"]*\.minor_words_per_run":[^,}]*'
+}
+[ -n "$(words 1)" ] && [ "$(words 1)" = "$(words 2)" ] || {
+  echo "check: two identical-tree smokes recorded different minor words"
+  exit 1
+}
 # back-to-back same-machine smoke runs: a loose 100% threshold rides
-# out the tiny-quota noise while still catching a real blowup
+# out the tiny-quota timing noise while still catching a real blowup
 "$cli" runs diff --ledger "$ledir/CHECK_ledger.jsonl" --threshold 100 @-2 @-1 || {
   echo "check: runs diff flagged two identical-tree bench runs"
   exit 1
@@ -184,6 +176,15 @@ if "$cli" runs diff --ledger "$ledir/SYNTH_ledger.jsonl" synthetic-a synthetic-b
   echo "check: runs diff missed an injected 2.5x metric regression"
   exit 1
 fi
+# "census" contains "ns": the timing floor must not reach census counts
+printf '%s\n' '{"schema":1,"run_id":"synthetic-c","ts":"2026-01-01T00:02:00Z","tool":"bbng_cli","subcommand":"census","argv":[],"outcome":"ok","exit_code":0,"metrics":{"census.equilibria":40},"counters":{},"artifacts":[]}' >> "$ledir/SYNTH_ledger.jsonl"
+printf '%s\n' '{"schema":1,"run_id":"synthetic-d","ts":"2026-01-01T00:03:00Z","tool":"bbng_cli","subcommand":"census","argv":[],"outcome":"ok","exit_code":0,"metrics":{"census.equilibria":90},"counters":{},"artifacts":[]}' >> "$ledir/SYNTH_ledger.jsonl"
+rc=0
+"$cli" runs diff --ledger "$ledir/SYNTH_ledger.jsonl" synthetic-c synthetic-d > /dev/null || rc=$?
+[ "$rc" = 1 ] || {
+  echo "check: runs diff exited $rc on a census.equilibria 40 -> 90 regression, expected 1"
+  exit 1
+}
 
 echo "== census: kill+resume commits byte-identical artifacts =="
 # the checkpointed census's core invariant, end to end: a SIGKILLed

@@ -266,4 +266,22 @@ for cmd in certify verify; do
     || fail "$cmd on a bad profile does not name the argument on stderr"
 done
 
+echo "== 15. an out-of-range budget is a usage error naming the entry (exit 124) =="
+# every -b shares one parser: an out-of-range entry exits with the usage
+# code, prints nothing on stdout, and names the entry on stderr; a token
+# that is not an integer still gets the shape hint
+for cmd in opt dynamics census; do
+  rc=0
+  "$CLI" "$cmd" -b 5,1,1 > bad15.out 2> bad15.err || rc=$?
+  [ "$rc" -eq 124 ] || fail "$cmd -b 5,1,1 exited $rc, expected 124"
+  [ -s bad15.out ] && fail "$cmd -b 5,1,1 wrote to stdout"
+  grep -q "b_0 = 5 out of range \[0,3)" bad15.err \
+    || fail "$cmd -b 5,1,1 does not name the offending entry on stderr"
+done
+rc=0
+"$CLI" opt -b 1,x > bad15.out 2> bad15.err || rc=$?
+[ "$rc" -eq 124 ] || fail "opt -b 1,x exited $rc, expected 124"
+grep -q "budgets must look like" bad15.err \
+  || fail "opt -b 1,x lost the budget shape hint"
+
 echo "fault-smoke: all green"

@@ -21,18 +21,26 @@ let mad values =
 
 type trend = Regressed | Improved | Steady
 
+let threshold_pct = 25.
+
+(* Timings below 100 ns swing by more than any percentage gate on a
+   shared machine; allocation counts are exact, so they get no floor. *)
+let floor ~metric =
+  if String.ends_with ~suffix:"ns_per_run" metric then 100. else 0.
+
 (* Significance gate: latest vs history median, flagged only past
    max(3 * 1.4826 * MAD, threshold_pct% of the median, floor).  The
    MAD term adapts to each bench's own run-to-run noise; the
    percentage term takes over when the history happens to be eerily
    stable (MAD 0 on identical entries), and the absolute floor keeps
-   sub-100ns benches from flapping — same role as in bench --diff. *)
-let classify ?(threshold_pct = 25.) ?(floor = 0.) ~history latest =
+   sub-100ns benches from flapping. *)
+let classify ?(threshold_pct = threshold_pct) ~metric ~history latest =
   match (median history, mad history) with
   | Some m, Some d ->
       let sigma = 1.4826 *. d in
       let gate =
-        Float.max (3. *. sigma) (Float.max (threshold_pct *. Float.abs m /. 100.) floor)
+        Float.max (3. *. sigma)
+          (Float.max (threshold_pct *. Float.abs m /. 100.) (floor ~metric))
       in
       let delta = latest -. m in
       if delta > gate then Some Regressed

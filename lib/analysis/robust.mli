@@ -4,7 +4,8 @@
     the median of its recorded history, with a spread estimated by the
     median absolute deviation (MAD): both are insensitive to the odd
     outlier run that a mean/stddev gate would either absorb into the
-    baseline or false-positive on. *)
+    baseline or false-positive on.  [bbng_cli runs diff] applies the
+    same gate to a one-point history. *)
 
 val median : float list -> float option
 (** Sample median ([None] on an empty list; mean of the middle pair on
@@ -16,15 +17,27 @@ val mad : float list -> float option
 
 type trend = Regressed | Improved | Steady
 
+val threshold_pct : float
+(** The default percentage term of the gate: 25. *)
+
+val floor : metric:string -> float
+(** The absolute floor of the gate for a metric name: 100 for names
+    ending in [ns_per_run], 0 for every other metric.  The rule reads
+    the suffix, so [census.*] or [dynamics.*] metrics never inherit the
+    timing floor. *)
+
 val classify :
-  ?threshold_pct:float -> ?floor:float -> history:float list -> float -> trend option
-(** [classify ~history latest] flags [latest] against the history's
-    median when it falls outside
-    [max (3 * 1.4826 * mad) (threshold_pct%% of median) floor] —
-    the MAD term adapts to per-bench noise, the percentage (default
-    25, matching [bench --diff]) covers MAD-0 histories, and the
-    absolute [floor] (default 0) silences sub-noise benches.  [None]
-    when the history is empty. *)
+  ?threshold_pct:float ->
+  metric:string ->
+  history:float list ->
+  float ->
+  trend option
+(** [classify ~metric ~history latest] flags [latest] against the
+    history's median when it falls outside
+    [max (3 * 1.4826 * mad) (threshold_pct%% of median) (floor ~metric)]
+    — the MAD term adapts to per-bench noise, the percentage (default
+    {!threshold_pct}) covers MAD-0 histories, and the floor silences
+    sub-100ns timings.  [None] when the history is empty. *)
 
 val sigma_score : history:float list -> float -> float option
 (** [(latest - median) / (1.4826 * mad)] — how many robust standard

@@ -1,9 +1,10 @@
 (* Robust trend statistics (Bbng_analysis.Robust): the median/MAD gate
-   behind `bench --trend`.  The properties that matter: a steady
-   history passes, a 2x slowdown is flagged, improvements are typed as
-   such, a MAD-0 history falls back to the percentage threshold
-   instead of flagging every 1ns wiggle, and the absolute floor
-   silences sub-noise benches. *)
+   behind `bench --trend` and `bbng_cli runs diff`.  The properties
+   that matter: a steady history passes, a 2x slowdown is flagged,
+   improvements are typed as such, a MAD-0 history falls back to the
+   percentage threshold instead of flagging every 1ns wiggle, and the
+   absolute floor silences sub-100ns timings — and only timings: it is
+   keyed by the metric name's suffix. *)
 
 open Helpers
 module Robust = Bbng_analysis.Robust
@@ -36,24 +37,26 @@ let test_mad () =
   check_float "symmetric spread" 1.
     (Option.get (Robust.mad [ 1.; 2.; 3.; 4.; 5. ]))
 
+let ns = "bench.bbng/x.ns_per_run"
+let words = "bench.bbng/x.minor_words_per_run"
 let steady_history = [ 1000.; 1010.; 990.; 1005.; 995. ]
 
 let test_classify_steady () =
   check_trend "unchanged re-run passes" (Some Robust.Steady)
-    (Robust.classify ~history:steady_history 1002.)
+    (Robust.classify ~metric:ns ~history:steady_history 1002.)
 
 let test_classify_regression () =
   check_trend "2x slowdown flagged" (Some Robust.Regressed)
-    (Robust.classify ~history:steady_history 2000.);
+    (Robust.classify ~metric:ns ~history:steady_history 2000.);
   check_trend "2x speedup typed as improvement" (Some Robust.Improved)
-    (Robust.classify ~history:steady_history 500.)
+    (Robust.classify ~metric:ns ~history:steady_history 500.)
 
 let test_classify_empty_and_singleton () =
   check_trend "empty history cannot classify" None
-    (Robust.classify ~history:[] 100.);
+    (Robust.classify ~metric:ns ~history:[] 100.);
   check_trend "singleton history classifies against itself"
     (Some Robust.Steady)
-    (Robust.classify ~history:[ 1000. ] 1001.)
+    (Robust.classify ~metric:ns ~history:[ 1000. ] 1001.)
 
 let test_mad_zero_fallback () =
   (* identical history: MAD 0 would flag any wiggle without the
@@ -61,17 +64,34 @@ let test_mad_zero_fallback () =
   let flat = [ 1000.; 1000.; 1000. ] in
   check_trend "small wiggle absorbed by the pct threshold"
     (Some Robust.Steady)
-    (Robust.classify ~threshold_pct:25. ~history:flat 1100.);
+    (Robust.classify ~threshold_pct:25. ~metric:ns ~history:flat 1100.);
   check_trend "past the pct threshold still flags" (Some Robust.Regressed)
-    (Robust.classify ~threshold_pct:25. ~history:flat 1300.)
+    (Robust.classify ~threshold_pct:25. ~metric:ns ~history:flat 1300.)
 
 let test_floor_silences_noise () =
   let tiny = [ 10.; 12.; 9. ] in
   check_trend "sub-floor swing ignored" (Some Robust.Steady)
-    (Robust.classify ~threshold_pct:25. ~floor:100. ~history:tiny 60.);
+    (Robust.classify ~metric:ns ~history:tiny 60.);
   check_trend "without the floor the same swing flags"
     (Some Robust.Regressed)
-    (Robust.classify ~threshold_pct:25. ~history:tiny 60.)
+    (Robust.classify ~metric:words ~history:tiny 60.)
+
+(* the floor follows the name's suffix, not a substring: "census"
+   contains "ns", and a census count must still gate at 25% *)
+let test_floor_by_suffix () =
+  check_float "ns_per_run timings get the floor" 100. (Robust.floor ~metric:ns);
+  check_float "exact word counts get none" 0. (Robust.floor ~metric:words);
+  check_float "census metrics get none" 0.
+    (Robust.floor ~metric:"census.equilibria");
+  check_float "a bare ns ending is not a timing suffix" 0.
+    (Robust.floor ~metric:"spans");
+  let doubled metric = Robust.classify ~metric ~history:[ 40. ] 90. in
+  check_trend "census.equilibria 40 -> 90 regresses" (Some Robust.Regressed)
+    (doubled "census.equilibria");
+  check_trend "dynamics.steps 40 -> 90 regresses" (Some Robust.Regressed)
+    (doubled "dynamics.steps");
+  check_trend "a sub-100ns timing swing stays steady" (Some Robust.Steady)
+    (doubled ns)
 
 let test_sigma_score () =
   Alcotest.(check (option (float 1e-6)))
@@ -89,5 +109,6 @@ let suite =
     case "empty and singleton histories" test_classify_empty_and_singleton;
     case "MAD-0 falls back to pct threshold" test_mad_zero_fallback;
     case "absolute floor silences noise benches" test_floor_silences_noise;
+    case "floor is keyed by the ns_per_run suffix" test_floor_by_suffix;
     case "sigma score" test_sigma_score;
   ]
