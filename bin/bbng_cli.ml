@@ -140,13 +140,11 @@ let obs_term =
     with
     | Error _ as e -> e
     | Ok () ->
-        if stats || report <> None || profile_out <> None then begin
+        (* one flag turns on spans and the call-path table they book
+           into, so --stats' span list and self-time top-10 and
+           --profile's folded output all read the same closes *)
+        if stats || report <> None || profile_out <> None then
           Obs.Span.set_enabled true;
-          (* call-path attribution rides on the same span enter/exit
-             points; enabling it with spans keeps --stats' self-time
-             top-10 and --profile's folded output in agreement *)
-          Obs.Profile.set_enabled true
-        end;
         let metrics_result =
           match metrics_out with
           | None -> Ok ()
@@ -452,6 +450,55 @@ let profile_or_exit ~what arg =
       Printf.eprintf "bbng: %s: %s (%s)\n" arg what msg;
       die Obs.Exit_code.input_error
 
+(* --- verify / certify: one certification path, shared arguments --- *)
+
+let cert_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cert" ] ~docv:"OUT.json"
+        ~doc:
+          "Write the certification's evidence (per-player tier, \
+           candidates scanned, best deviation) as a single-line JSON \
+           certificate artifact to $(docv) (crash-safe: temp file + \
+           atomic rename).  A deadline-degraded certificate carries a \
+           $(i,degraded) provenance field and still passes \
+           $(b,bbng_cli verify).  Re-check later with \
+           $(b,bbng_cli verify OUT.json).")
+
+let swap_arg =
+  Arg.(
+    value & flag
+    & info [ "swap" ]
+        ~doc:"Certify swap stability instead of exact Nash (polynomial).")
+
+let parallel_arg =
+  Arg.(
+    value & flag
+    & info [ "parallel" ]
+        ~doc:"Fan the per-player checks out over domains (same certificate).")
+
+let certify_profile version profile cert_out swap par budget =
+  let game = Game.make version (Strategy.budgets profile) in
+  let cert =
+    if swap then Equilibrium.certify_swap_cert ~budget game profile
+    else if par then Equilibrium.certify_parallel_cert ~budget game profile
+    else Equilibrium.certify_cert ~budget game profile
+  in
+  Format.printf "profile:   %s@." (Strategy.to_string profile);
+  Format.printf "graph:     %a@." Bbng_graph.Digraph.pp (Strategy.realize profile);
+  Format.printf "diameter:  %d@." (Game.social_cost game profile);
+  Format.printf "welfare:   %d@." (Game.social_welfare game profile);
+  Format.printf "verdict:   %a@." Equilibrium.pp_verdict
+    (Equilibrium.certificate_verdict cert);
+  Format.printf "evidence:  %a@." pp_evidence_summary cert;
+  (match cert_out with
+  | None -> ()
+  | Some path ->
+      Equilibrium.write_certificate path cert;
+      Format.printf "wrote %s@." path);
+  `Ok ()
+
 let verify_cmd =
   let target =
     Arg.(
@@ -463,29 +510,6 @@ let verify_cmd =
              path of a previously written certificate artifact to \
              independently re-check.  An existing file is treated as a \
              certificate.")
-  in
-  let cert_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cert" ] ~docv:"OUT.json"
-          ~doc:
-            "Write the certification's evidence (per-player tier, \
-             candidates scanned, best deviation) as a single-line JSON \
-             certificate artifact to $(docv).  Re-check later with \
-             $(b,bbng_cli verify OUT.json).")
-  in
-  let swap =
-    Arg.(
-      value & flag
-      & info [ "swap" ]
-          ~doc:"Certify swap stability instead of exact Nash (polynomial).")
-  in
-  let par =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:"Fan the per-player checks out over domains (same certificate).")
   in
   let samples =
     Arg.(
@@ -520,28 +544,6 @@ let verify_cmd =
             Obs.Ledger.note_outcome "recheck-failed";
             exit_failed 1)
   in
-  let certify_profile version profile cert_out swap par budget =
-    let game = Game.make version (Strategy.budgets profile) in
-    let cert =
-      if swap then Equilibrium.certify_swap_cert ~budget game profile
-      else if par then Equilibrium.certify_parallel_cert ~budget game profile
-      else Equilibrium.certify_cert ~budget game profile
-    in
-    Format.printf "profile:   %s@." (Strategy.to_string profile);
-    Format.printf "graph:     %a@." Bbng_graph.Digraph.pp
-      (Strategy.realize profile);
-    Format.printf "diameter:  %d@." (Game.social_cost game profile);
-    Format.printf "welfare:   %d@." (Game.social_welfare game profile);
-    Format.printf "verdict:   %a@." Equilibrium.pp_verdict
-      (Equilibrium.certificate_verdict cert);
-    Format.printf "evidence:  %a@." pp_evidence_summary cert;
-    (match cert_out with
-    | None -> ()
-    | Some path ->
-        Equilibrium.write_certificate path cert;
-        Format.printf "wrote %s@." path);
-    `Ok ()
-  in
   let run () version target cert_out swap par samples budget =
     if Sys.file_exists target then verify_artifact target samples
     else
@@ -559,8 +561,8 @@ let verify_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ obs_term $ version_term $ target $ cert_out $ swap $ par
-        $ samples $ budget_term))
+        (const run $ obs_term $ version_term $ target $ cert_out_arg
+        $ swap_arg $ parallel_arg $ samples $ budget_term))
 
 (* --- certify: the profile-certification half of verify, with an
    unambiguous positional (never interpreted as a file path) --- *)
@@ -573,47 +575,9 @@ let certify_cmd =
       & info [] ~docv:"PROFILE"
           ~doc:"A serialized profile to certify, e.g. \"1,2;0;0\".")
   in
-  let cert_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cert" ] ~docv:"OUT.json"
-          ~doc:
-            "Write the evidence as a single-line JSON certificate \
-             artifact (crash-safe: temp file + atomic rename).  A \
-             deadline-degraded certificate carries a $(i,degraded) \
-             provenance field and still passes $(b,bbng_cli verify).")
-  in
-  let swap =
-    Arg.(
-      value & flag
-      & info [ "swap" ]
-          ~doc:"Certify swap stability instead of exact Nash (polynomial).")
-  in
-  let par =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:"Fan the per-player checks out over domains (same certificate).")
-  in
   let run () version profile_str cert_out swap par budget =
     let profile = profile_or_exit ~what:"not a profile" profile_str in
-    let game = Game.make version (Strategy.budgets profile) in
-    let cert =
-      if swap then Equilibrium.certify_swap_cert ~budget game profile
-      else if par then Equilibrium.certify_parallel_cert ~budget game profile
-      else Equilibrium.certify_cert ~budget game profile
-    in
-    Format.printf "profile:   %s@." (Strategy.to_string profile);
-    Format.printf "verdict:   %a@." Equilibrium.pp_verdict
-      (Equilibrium.certificate_verdict cert);
-    Format.printf "evidence:  %a@." pp_evidence_summary cert;
-    (match cert_out with
-    | None -> ()
-    | Some path ->
-        Equilibrium.write_certificate path cert;
-        Format.printf "wrote %s@." path);
-    `Ok ()
+    certify_profile version profile cert_out swap par budget
   in
   let info =
     Cmd.info "certify"
@@ -625,8 +589,8 @@ let certify_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ obs_term $ version_term $ profile_arg $ cert_out $ swap
-        $ par $ budget_term))
+        (const run $ obs_term $ version_term $ profile_arg $ cert_out_arg
+        $ swap_arg $ parallel_arg $ budget_term))
 
 (* --- dynamics --- *)
 

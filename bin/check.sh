@@ -74,6 +74,23 @@ grep -q progress.heartbeat _build/TELEMETRY.jsonl || {
 }
 dune exec bin/bbng_cli.exe -- top _build/TELEMETRY.jsonl --once --no-clear \
   > /dev/null
+# a recording whose last line (the run.summary) is cut mid-line must
+# still render.  The cut line is newline-terminated so the viewer
+# consumes it instead of waiting for the rest: the shared line decoder
+# must count it as one skip, not fail
+size=$(wc -c < _build/TELEMETRY.jsonl)
+last=$(tail -n 1 _build/TELEMETRY.jsonl | wc -c)
+head -c $((size - last / 2)) _build/TELEMETRY.jsonl > _build/TELEMETRY.torn.jsonl
+echo >> _build/TELEMETRY.torn.jsonl
+dune exec bin/bbng_cli.exe -- top _build/TELEMETRY.torn.jsonl --once --no-clear \
+  > _build/TELEMETRY.torn.out || {
+  echo "check: top failed on a torn recording"
+  exit 1
+}
+grep -q "(1 unparsed)" _build/TELEMETRY.torn.out || {
+  echo "check: top did not skip the torn line"
+  exit 1
+}
 
 echo "== profiling: live --profile and offline flame agree =="
 # a recorded dynamics run must profile identically live (--profile) and

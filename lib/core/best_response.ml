@@ -13,7 +13,7 @@ let c_degraded = Bbng_obs.Counter.make "br.degraded_scans"
 (* candidates evaluated per improvement/swap search — a pruned search
    records 0, so the distribution shows how often the floor and Lemma
    2.2 cuts fire, not just how much the surviving scans cost *)
-let h_candidates = Bbng_obs.Histogram.make "br.candidates_per_search"
+let h_candidates = Bbng_obs.Metrics.histogram "br.candidates_per_search"
 
 (* All evaluators share one incremental evaluation context: the static
    part of the graph is materialized once and each candidate strategy
@@ -205,7 +205,7 @@ let exact ?budget ?engine game profile player =
 exception Found of move
 
 let record_search_size evals =
-  if Bbng_obs.Span.enabled () then Bbng_obs.Histogram.record h_candidates evals
+  if Bbng_obs.Span.enabled () then Bbng_obs.Metrics.observe h_candidates evals
 
 let scan_for_improvement ctx ~stop_at_first =
   if ctx.current_cost <= ctx.floor then begin

@@ -74,12 +74,12 @@ end
 
 let c_steps = Obs.Counter.make "dynamics.steps_applied"
 let c_runs = Obs.Counter.make "dynamics.runs"
-let h_improvement = Obs.Histogram.make "dynamics.step_improvement"
+let h_improvement = Obs.Metrics.histogram "dynamics.step_improvement"
 
 (* per-window mean improvement as a percentage of the first window's
    mean: 100 = no decay, small = the run is grinding to a halt — the
    decay shape distinguishes geometric convergence from a hard stop *)
-let h_decay = Obs.Histogram.make "dynamics.improvement_decay_pct"
+let h_decay = Obs.Metrics.histogram "dynamics.improvement_decay_pct"
 
 let g_social = Obs.Metrics.gauge "dynamics.social_cost"
 
@@ -213,7 +213,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
         | Some f when f > 0. -> 100. *. mean /. f
         | _ -> 100.
       in
-      Obs.Histogram.record h_decay
+      Obs.Metrics.observe h_decay
         (int_of_float (Float.round decay_pct));
       let net = !prev_cost - !win_start_cost in
       emit_diagnosis ~step
@@ -337,7 +337,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
               let social = Game.social_cost game profile in
               record_step ~improvement ~step social;
               if Obs.Span.enabled () then
-                Obs.Histogram.record h_improvement improvement;
+                Obs.Metrics.observe h_improvement improvement;
               if Option.is_some on_step || Obs.Sink.active () then begin
                 let entry =
                   {
@@ -362,7 +362,7 @@ let run ?(max_steps = 10_000) ?(detect_cycles = true) ?(meta = []) ?on_step
      protect covers raise paths (idempotent, so no double beat).  The
      outer span makes every per-step span (dynamics.select_move and
      below) a child path in the profile: "dynamics.run;..." *)
-  Obs.Span.time "dynamics.run" @@ fun () ->
+  Obs.Span.with_ "dynamics.run" @@ fun () ->
   Fun.protect
     ~finally:(fun () -> Obs.Progress.finish progress)
     (fun () -> loop (Schedule.start schedule ~n) start 0)

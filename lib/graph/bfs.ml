@@ -2,7 +2,7 @@ let unreachable = -1
 
 let c_runs = Bbng_obs.Counter.make "bfs.runs"
 let c_popped = Bbng_obs.Counter.make "bfs.vertices_popped"
-let h_popped = Bbng_obs.Histogram.make "bfs.popped_per_run"
+let h_popped = Bbng_obs.Metrics.histogram "bfs.popped_per_run"
 
 (* batched: two atomic adds per traversal, none per vertex; the
    per-run distribution only when observability is on (one extra
@@ -10,7 +10,7 @@ let h_popped = Bbng_obs.Histogram.make "bfs.popped_per_run"
 let observe popped =
   Bbng_obs.Counter.bump c_runs;
   Bbng_obs.Counter.add c_popped popped;
-  if Bbng_obs.Span.enabled () then Bbng_obs.Histogram.record h_popped popped
+  if Bbng_obs.Span.enabled () then Bbng_obs.Metrics.observe h_popped popped
 
 (* --- legacy engine: walks the per-vertex adjacency arrays ---
 

@@ -4,9 +4,13 @@
     lands in bucket 0 and a value in [[2^(i-1), 2^i)] lands in bucket
     [i].  Recording is a handful of atomic operations — no lock, no
     allocation — so {!module-Bbng_core.Parallel} domains share a
-    histogram safely and hot paths can record per-call values (BFS
-    frontier sizes, deviation-candidate counts, span latencies) when
+    histogram safely and hot paths can record per-call values when
     observability is switched on.
+
+    A histogram is a plain value with no registry: named, scrapeable
+    distributions are {!Metrics.histogram}s (one histogram per domain
+    shard, merged on read), and {!Profile} keeps one per call path for
+    the span latency quantiles.
 
     Quantile estimates interpolate linearly inside the bucket holding
     the requested rank.  Because the true rank-th value lies in the same
@@ -15,16 +19,7 @@
 
 type t
 
-val make : string -> t
-(** Find-or-create in the process-global registry (idempotent, like
-    {!Counter.make}).  Registered histograms appear in {!snapshot} and
-    in the [run.summary] [histograms] object. *)
-
-val unregistered : string -> t
-(** A private histogram outside the registry — {!Span} keeps one per
-    span family without polluting the domain-value listing. *)
-
-val name : t -> string
+val create : unit -> t
 
 val record : t -> int -> unit
 (** [record t v] adds one observation.  Negative values clamp to 0. *)
@@ -35,9 +30,6 @@ val total : t -> int
 val max_value : t -> int
 (** Exact maximum recorded value (0 when empty). *)
 
-val bucket_count : unit -> int
-(** Number of buckets every histogram has (64). *)
-
 val bucket_bounds : int -> int * int
 (** [(lo, hi)] inclusive value range of bucket [i]: [(0, 0)] for bucket
     0, [(2^(i-1), 2^i - 1)] otherwise. *)
@@ -47,33 +39,21 @@ val bucket_counts : t -> int array
     {!bucket_bounds}.  A fresh array; reading is atomic per bucket but
     not across buckets (concurrent writers may land between reads). *)
 
-val merge_counts : t list -> int array
-(** Element-wise sum of {!bucket_counts} over several histograms — how
-    per-domain shards aggregate into one distribution. *)
+val merge : t list -> t
+(** A fresh histogram holding every observation of the given ones:
+    buckets, counts and totals sum, max takes the max.  How per-domain
+    shards and per-path cells aggregate into one distribution. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [[0, 1]]: estimated [q]-quantile of the
     recorded values, within a factor of two of the exact sample
-    quantile.  0 when empty; clamped to [[0, max_value]]. *)
-
-val quantile_of_counts : ?max_value:int -> int array -> float -> float
-(** {!quantile} over a raw bucket-count array (as produced by
-    {!bucket_counts} or {!merge_counts}) — how the sharded {!Span}
-    table estimates quantiles across per-domain histograms.
-    [max_value], when known, clamps the top occupied bucket's range
-    exactly as the per-histogram path does. *)
+    quantile.  0 when empty; clamped to [[0, max_value]].  The top
+    occupied bucket interpolates up to the exact max, so its last rank
+    (in particular a lone sample there) reads exactly [max_value]. *)
 
 val to_json : t -> Json.t
 (** [{"count": _, "total": _, "max": _, "p50": _, "p90": _, "p99": _,
      "buckets": [{"lo": _, "hi": _, "count": _}, ...]}] with only the
     occupied buckets listed. *)
 
-val find : string -> t option
-(** Registry lookup by name. *)
-
-val snapshot : unit -> (string * t) list
-(** All registered histograms, sorted by name. *)
-
 val reset : t -> unit
-val reset_all : unit -> unit
-(** Zero every registered histogram (the registry keeps its entries). *)

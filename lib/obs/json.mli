@@ -4,9 +4,10 @@
     The emitter always produces valid JSON on a single line (no raw
     newlines escape a string literal), so one event per line is a
     structural guarantee, not a convention.  The parser accepts the
-    emitter's output plus standard whitespace — it exists so tests and
-    [bench/main.exe --validate] can check reports without pulling in an
-    opam JSON library. *)
+    emitter's output plus standard whitespace — it exists so tests, the
+    report readers ([bbng_cli replay], [flame], [top], [runs]) and the
+    bench history can load JSONL without pulling in an opam JSON
+    library. *)
 
 type t =
   | Null
@@ -40,3 +41,18 @@ val of_string : string -> t
 val member : string -> t -> t option
 (** [member key (Obj _)] looks up [key]; [None] on missing key or
     non-object. *)
+
+(** {1 Typed field accessors}
+
+    [None] on a missing key, a non-object, or a value of another
+    shape. *)
+
+val int_field : string -> t -> int option
+
+val num_field : string -> t -> float option
+(** An [Int] or a [Float] field, as a float. *)
+
+val str_field : string -> t -> string option
+
+val int_array_field : string -> t -> int array option
+(** A list field whose elements are all [Int]s. *)

@@ -329,11 +329,8 @@ let last_event name events =
 let of_report_events ~path events =
   let summary = last_event "run.summary" events in
   let outcome_ev = last_event "dynamics.outcome" events in
-  let str_field k j =
-    match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-  in
   let run_id =
-    match Option.bind summary (str_field "run_id") with
+    match Option.bind summary (Json.str_field "run_id") with
     | Some id -> id
     | None ->
         (* pre-ledger recordings carry no id; a digest-derived one is
@@ -381,7 +378,7 @@ let of_report_events ~path events =
             ("dynamics.max_regret", "max_regret");
           ]
         @
-        (match str_field "diagnosis" j with
+        (match Json.str_field "diagnosis" j with
         | Some d -> [ ("dynamics.diagnosis", Json.Str d) ]
         | None -> [])
   in
@@ -396,7 +393,7 @@ let of_report_events ~path events =
   in
   let outcome =
     match outcome_ev with
-    | Some j -> Option.value (str_field "outcome" j) ~default:"ok"
+    | Some j -> Option.value (Json.str_field "outcome" j) ~default:"ok"
     | None -> if summary <> None then "ok" else "interrupted"
   in
   {

@@ -22,7 +22,9 @@ val create_state : unit -> state
 val feed_line : state -> string -> unit
 (** Fold one complete line into the state.  Blank lines are ignored;
     non-JSON, truncated JSON and objects without an ["event"] field
-    are counted as skipped; nothing raises. *)
+    are counted as skipped; nothing raises.  Lines decode through
+    {!Trace_export.event_of_line}, so the viewer and
+    {!Trace_export.read_events} agree on every line. *)
 
 val events : state -> int
 (** Events successfully folded in. *)

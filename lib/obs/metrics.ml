@@ -89,12 +89,7 @@ let histogram ?(help = "") name =
             {
               h_name = name;
               h_help = help;
-              (* unregistered shards: the legacy Histogram registry
-                 (run.summary's [histograms] object) must not list each
-                 shard as a separate distribution *)
-              h_shards =
-                Array.init shards (fun i ->
-                    Histogram.unregistered (Printf.sprintf "%s.shard%d" name i));
+              h_shards = Array.init shards (fun _ -> Histogram.create ());
             }
           in
           registry.histograms <- h :: registry.histograms;
@@ -104,24 +99,12 @@ let observe h v = Histogram.record h.h_shards.(shard_index ()) v
 
 (* --- aggregated snapshots --- *)
 
-type histogram_snapshot = {
-  hs_count : int;
-  hs_sum : int;
-  hs_buckets : int array; (* per-bucket counts, Histogram.bucket_bounds order *)
-}
-
-let histogram_snapshot h =
-  let shards = Array.to_list h.h_shards in
-  {
-    hs_count = List.fold_left (fun acc s -> acc + Histogram.count s) 0 shards;
-    hs_sum = List.fold_left (fun acc s -> acc + Histogram.total s) 0 shards;
-    hs_buckets = Histogram.merge_counts shards;
-  }
+let histogram_snapshot h = Histogram.merge (Array.to_list h.h_shards)
 
 type snapshot = {
   counters : (string * string * int) list;
   gauges : (string * string * (string * string) list * float) list;
-  histograms : (string * string * histogram_snapshot) list;
+  histograms : (string * string * Histogram.t) list;
 }
 
 let snapshot () =
@@ -159,14 +142,7 @@ let to_json () =
                 ^ "}"
           in
           (name, Json.Float v))
-        s.gauges
-    @ List.map
-        (fun (name, _, hs) ->
-          ( name,
-            Json.Obj
-              [ ("count", Json.Int hs.hs_count); ("sum", Json.Int hs.hs_sum) ]
-          ))
-        s.histograms)
+        s.gauges)
 
 let reset_for_tests () =
   Mutex.protect registry_mutex (fun () ->

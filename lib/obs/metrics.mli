@@ -1,8 +1,8 @@
 (** Per-domain sharded live-metrics registry.
 
-    {!Counter} and {!Histogram} are process-global cells: every domain
-    that bumps [parallel.chunks_abandoned] hits the same cache line.
-    That is fine for post-hoc stats, but a live scrape path wants hot
+    {!Counter} cells are process-global: every domain that bumps
+    [parallel.chunks_abandoned] hits the same cache line.  That is
+    fine for post-hoc stats, but a live scrape path wants hot
     recording to stay contention-free.  A {e sharded} metric is
     {!shards} independent cells; each writer touches only the cell
     indexed by its domain id ([Domain.self () land (shards - 1)]), and
@@ -15,9 +15,11 @@
     writers.
 
     All three metric kinds are find-or-create by name, so modules
-    declare their metrics at top level.  {!Openmetrics} renders the
-    whole registry (plus the legacy {!Counter}/{!Histogram}
-    registries) as a Prometheus/OpenMetrics text exposition. *)
+    declare their metrics at top level.  This is the one histogram
+    registry: [run.summary]'s [histograms] object and [--stats]' list
+    read it.  {!Openmetrics} renders the whole registry (plus the
+    {!Counter} registry) as a Prometheus/OpenMetrics text
+    exposition. *)
 
 val shards : int
 (** Number of shards per metric (a power of two). *)
@@ -59,21 +61,12 @@ val gauge_value : gauge -> float
 type histogram
 
 val histogram : ?help:string -> string -> histogram
-(** Find-or-create.  Each shard is a private log-bucketed
-    {!Histogram.t}; shards are kept out of the legacy registry so
-    [run.summary] never lists them individually. *)
+(** Find-or-create.  Each shard is a log-bucketed {!Histogram.t}. *)
 
 val observe : histogram -> int -> unit
 
-type histogram_snapshot = {
-  hs_count : int;
-  hs_sum : int;
-  hs_buckets : int array;
-      (** merged per-bucket counts, index-aligned with
-          {!Histogram.bucket_bounds} *)
-}
-
-val histogram_snapshot : histogram -> histogram_snapshot
+val histogram_snapshot : histogram -> Histogram.t
+(** The shards merged into one fresh histogram ({!Histogram.merge}). *)
 
 (** {1 Snapshots} *)
 
@@ -81,7 +74,8 @@ type snapshot = {
   counters : (string * string * int) list;  (** name, help, value *)
   gauges : (string * string * (string * string) list * float) list;
       (** name, help, labels, value *)
-  histograms : (string * string * histogram_snapshot) list;
+  histograms : (string * string * Histogram.t) list;
+      (** name, help, merged distribution *)
 }
 
 val snapshot : unit -> snapshot
@@ -90,7 +84,8 @@ val snapshot : unit -> snapshot
 
 val to_json : unit -> Json.t
 (** Flat rendering for [run.summary]'s [metrics] field: counters and
-    gauges as numbers, histograms as [{"count": _, "sum": _}]. *)
+    gauges as numbers.  Histograms are left to [run.summary]'s
+    [histograms] object, so none is listed twice. *)
 
 val reset_for_tests : unit -> unit
 (** Zero every registered metric (the registry keeps its entries). *)

@@ -1,8 +1,8 @@
 (* Prometheus/OpenMetrics text exposition of the live registries.
 
    One snapshot = the sharded Metrics registry aggregated across
-   domains, plus the legacy Counter and Histogram registries, rendered
-   as the standard line protocol:
+   domains, plus the Counter registry, rendered as the standard line
+   protocol:
 
      # HELP bbng_dynamics_steps_applied ...
      # TYPE bbng_dynamics_steps_applied counter
@@ -150,8 +150,11 @@ let add_gauges buf gauges =
 
 (* cumulative le-buckets over the occupied power-of-two buckets; le is
    each bucket's inclusive upper bound, and the +Inf bucket equals
-   _count by construction *)
-let add_histogram_buckets buf name ~bucket_counts ~count ~sum =
+   _count by construction (both read the same bucket array, so a
+   writer racing the scrape cannot make them disagree) *)
+let add_histogram buf name help h =
+  let name = sanitize name in
+  add_header buf name help Histogram_t;
   let cum = ref 0 in
   Array.iteri
     (fun i c ->
@@ -162,37 +165,25 @@ let add_histogram_buckets buf name ~bucket_counts ~count ~sum =
           [ ("le", string_of_int hi) ]
           (float_of_int !cum)
       end)
-    bucket_counts;
-  add_sample buf (name ^ "_bucket") [ ("le", "+Inf") ] (float_of_int count);
-  add_sample buf (name ^ "_sum") [] (float_of_int sum);
-  add_sample buf (name ^ "_count") [] (float_of_int count)
-
-let add_histogram buf name help ~bucket_counts ~count ~sum =
-  let name = sanitize name in
-  add_header buf name help Histogram_t;
-  add_histogram_buckets buf name ~bucket_counts ~count ~sum
+    (Histogram.bucket_counts h);
+  add_sample buf (name ^ "_bucket") [ ("le", "+Inf") ] (float_of_int !cum);
+  add_sample buf (name ^ "_sum") [] (float_of_int (Histogram.total h));
+  add_sample buf (name ^ "_count") [] (float_of_int !cum)
 
 let render () =
   let buf = Buffer.create 4096 in
   let m = Metrics.snapshot () in
   List.iter (fun (name, help, v) -> add_counter buf name help v) m.Metrics.counters;
   add_gauges buf m.Metrics.gauges;
+  (* a histogram nothing observed yet has no distribution to expose *)
   List.iter
-    (fun (name, help, hs) ->
-      add_histogram buf name help ~bucket_counts:hs.Metrics.hs_buckets
-        ~count:hs.Metrics.hs_count ~sum:hs.Metrics.hs_sum)
+    (fun (name, help, h) ->
+      if Histogram.count h > 0 then add_histogram buf name help h)
     m.Metrics.histograms;
-  (* legacy registries: the post-hoc counters and domain-value
-     histograms become scrapeable too *)
+  (* the post-hoc Counter registry becomes scrapeable too *)
   List.iter
     (fun (name, v) -> add_counter buf name "" v)
     (Counter.snapshot ());
-  List.iter
-    (fun (name, h) ->
-      if Histogram.count h > 0 then
-        add_histogram buf name "" ~bucket_counts:(Histogram.bucket_counts h)
-          ~count:(Histogram.count h) ~sum:(Histogram.total h))
-    (Histogram.snapshot ());
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 

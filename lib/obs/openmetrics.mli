@@ -1,8 +1,8 @@
 (** Prometheus/OpenMetrics text snapshots of the live registries.
 
     {!render} aggregates the sharded {!Metrics} registry (across
-    domains) plus the legacy {!Counter} and {!Histogram} registries
-    into one text exposition; {!write} refreshes a [.prom] file
+    domains) plus the {!Counter} registry into one text exposition
+    (histograms with no observation yet are left out); {!write} refreshes a [.prom] file
     crash-safely (temp + atomic rename, so a SIGKILL mid-scrape leaves
     the previous snapshot intact).  [--metrics-out] points the
     {!Progress} heartbeat at {!write}, and a future [bbng serve]

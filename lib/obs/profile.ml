@@ -10,10 +10,12 @@
    "folded per-name totals == flat Span totals" as an equality, not an
    approximation.
 
-   The accumulation table is sharded per domain (same Domain.self
-   pattern as Metrics) so Parallel workers record without contending;
-   the open-span stacks live in domain-local storage and never need a
-   lock at all. *)
+   The path table is the one span table: each cell also keeps the
+   close's inclusive wall (with its max), minor and major words, and a
+   latency histogram, and Span's per-name stats are a rollup of it.
+   It is sharded per domain (same Domain.self pattern as Metrics) so
+   Parallel workers record without contending; the open-span stacks
+   live in domain-local storage and never need a lock at all. *)
 
 type stat = { count : int; self_ns : int; self_minor_words : float }
 
@@ -29,7 +31,7 @@ type frame = {
   mutable on_stack : bool;
 }
 
-type token = frame option
+type token = frame
 
 type dstate = {
   mutable stack : frame list;
@@ -52,6 +54,11 @@ type cell = {
   mutable c_count : int;
   mutable c_self_ns : int;
   mutable c_self_minor : float;
+  mutable c_wall_ns : int;
+  mutable c_max_ns : int;
+  mutable c_minor : float;
+  mutable c_major : float;
+  c_hist : Histogram.t;
 }
 
 let shards = 8
@@ -61,72 +68,81 @@ type shard = { tbl : (string, cell) Hashtbl.t; mu : Mutex.t }
 
 let table = Array.init shards (fun _ -> { tbl = Hashtbl.create 32; mu = Mutex.create () })
 
-let record path ~self_ns ~self_minor =
+let record path ~self_ns ~self_minor ~wall_ns ~minor_words ~major_words =
   let sh = table.(shard_index ()) in
   Mutex.protect sh.mu (fun () ->
       let c =
         match Hashtbl.find_opt sh.tbl path with
         | Some c -> c
         | None ->
-            let c = { c_count = 0; c_self_ns = 0; c_self_minor = 0. } in
+            let c =
+              {
+                c_count = 0;
+                c_self_ns = 0;
+                c_self_minor = 0.;
+                c_wall_ns = 0;
+                c_max_ns = 0;
+                c_minor = 0.;
+                c_major = 0.;
+                c_hist = Histogram.create ();
+              }
+            in
             Hashtbl.add sh.tbl path c;
             c
       in
       c.c_count <- c.c_count + 1;
       c.c_self_ns <- c.c_self_ns + self_ns;
-      c.c_self_minor <- c.c_self_minor +. self_minor)
+      c.c_self_minor <- c.c_self_minor +. self_minor;
+      c.c_wall_ns <- c.c_wall_ns + wall_ns;
+      if wall_ns > c.c_max_ns then c.c_max_ns <- wall_ns;
+      c.c_minor <- c.c_minor +. minor_words;
+      c.c_major <- c.c_major +. major_words;
+      Histogram.record c.c_hist wall_ns)
 
 (* --- enter / close (driven by Span) --- *)
 
 let enter name =
-  if not (Atomic.get enabled_flag) then None
-  else begin
-    let st = Domain.DLS.get dls in
-    let parent =
-      match st.stack with f :: _ -> f.f_path | [] -> st.base
-    in
-    let path = if parent = "" then name else parent ^ ";" ^ name in
-    let f =
-      {
-        f_path = path;
-        f_dom = (Domain.self () :> int);
-        child_ns = 0;
-        child_minor = 0.;
-        on_stack = true;
-      }
-    in
-    st.stack <- f :: st.stack;
-    Some f
-  end
+  let st = Domain.DLS.get dls in
+  let parent = match st.stack with f :: _ -> f.f_path | [] -> st.base in
+  let path = if parent = "" then name else parent ^ ";" ^ name in
+  let f =
+    {
+      f_path = path;
+      f_dom = (Domain.self () :> int);
+      child_ns = 0;
+      child_minor = 0.;
+      on_stack = true;
+    }
+  in
+  st.stack <- f :: st.stack;
+  f
 
-let close tok ~wall_ns ~minor_words =
-  match tok with
-  | None -> ()
-  | Some f ->
-      record f.f_path ~self_ns:(wall_ns - f.child_ns)
-        ~self_minor:(minor_words -. f.child_minor);
-      if f.on_stack && f.f_dom = (Domain.self () :> int) then begin
-        let st = Domain.DLS.get dls in
-        if List.memq f st.stack then begin
-          (* pop down to [f]; anything above it was opened later but is
-             being closed out of order — detach those frames so their
-             own close records to their (already fixed) path without
-             touching the stack.  The stack itself stays consistent. *)
-          let rec pop = function
-            | g :: rest ->
-                g.on_stack <- false;
-                if g == f then rest else pop rest
-            | [] -> []
-          in
-          st.stack <- pop st.stack;
-          match st.stack with
-          | p :: _ ->
-              p.child_ns <- p.child_ns + wall_ns;
-              p.child_minor <- p.child_minor +. minor_words
-          | [] -> ()
-        end
-        else f.on_stack <- false
-      end
+let close f ~wall_ns ~minor_words ~major_words =
+  record f.f_path ~self_ns:(wall_ns - f.child_ns)
+    ~self_minor:(minor_words -. f.child_minor)
+    ~wall_ns ~minor_words ~major_words;
+  if f.on_stack && f.f_dom = (Domain.self () :> int) then begin
+    let st = Domain.DLS.get dls in
+    if List.memq f st.stack then begin
+      (* pop down to [f]; anything above it was opened later but is
+         being closed out of order — detach those frames so their own
+         close records to their (already fixed) path without touching
+         the stack.  The stack itself stays consistent. *)
+      let rec pop = function
+        | g :: rest ->
+            g.on_stack <- false;
+            if g == f then rest else pop rest
+        | [] -> []
+      in
+      st.stack <- pop st.stack;
+      match st.stack with
+      | p :: _ ->
+          p.child_ns <- p.child_ns + wall_ns;
+          p.child_minor <- p.child_minor +. minor_words
+      | [] -> ()
+    end
+    else f.on_stack <- false
+  end
 
 let current_path () =
   let st = Domain.DLS.get dls in
@@ -147,83 +163,105 @@ let with_root base f =
       st.base <- saved_base)
     f
 
-(* --- snapshots and folded rendering --- *)
+(* --- snapshots --- *)
 
-let snapshot () =
-  let merged : (string, cell) Hashtbl.t = Hashtbl.create 64 in
+let sorted_bindings tbl =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* every shard's cells grouped under [key path], as copies taken under
+   each shard's lock (a copy shares its histogram, which reads
+   atomically) *)
+let grouped key =
+  let acc : (string, cell list) Hashtbl.t = Hashtbl.create 64 in
   Array.iter
     (fun sh ->
       Mutex.protect sh.mu (fun () ->
           Hashtbl.iter
             (fun path c ->
-              match Hashtbl.find_opt merged path with
-              | Some m ->
-                  m.c_count <- m.c_count + c.c_count;
-                  m.c_self_ns <- m.c_self_ns + c.c_self_ns;
-                  m.c_self_minor <- m.c_self_minor +. c.c_self_minor
-              | None ->
-                  Hashtbl.add merged path
-                    {
-                      c_count = c.c_count;
-                      c_self_ns = c.c_self_ns;
-                      c_self_minor = c.c_self_minor;
-                    })
+              let k = key path in
+              let others = Option.value ~default:[] (Hashtbl.find_opt acc k) in
+              Hashtbl.replace acc k ({ c with c_count = c.c_count } :: others))
             sh.tbl))
     table;
-  List.sort compare
-    (Hashtbl.fold
-       (fun path c acc ->
-         ( path,
-           {
-             count = c.c_count;
-             self_ns = c.c_self_ns;
-             self_minor_words = c.c_self_minor;
-           } )
-         :: acc)
-       merged [])
+  sorted_bindings acc
+
+let sum f cells = List.fold_left (fun a c -> a + f c) 0 cells
+let sumf f cells = List.fold_left (fun a c -> a +. f c) 0. cells
+
+let snapshot () =
+  List.map
+    (fun (path, cells) ->
+      ( path,
+        {
+          count = sum (fun c -> c.c_count) cells;
+          self_ns = sum (fun c -> c.c_self_ns) cells;
+          self_minor_words = sumf (fun c -> c.c_self_minor) cells;
+        } ))
+    (grouped Fun.id)
+
+type closes = {
+  closes : int;
+  wall_ns : int;
+  max_ns : int;
+  minor_words : float;
+  major_words : float;
+  durations : Histogram.t;
+}
+
+let last_segment path =
+  match String.rindex_opt path ';' with
+  | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+  | None -> path
+
+let closes_by_name () =
+  List.map
+    (fun (name, cells) ->
+      ( name,
+        {
+          closes = sum (fun c -> c.c_count) cells;
+          wall_ns = sum (fun c -> c.c_wall_ns) cells;
+          max_ns = List.fold_left (fun a c -> max a c.c_max_ns) 0 cells;
+          minor_words = sumf (fun c -> c.c_minor) cells;
+          major_words = sumf (fun c -> c.c_major) cells;
+          durations = Histogram.merge (List.map (fun c -> c.c_hist) cells);
+        } ))
+    (grouped last_segment)
 
 let reset_all () =
   Array.iter (fun sh -> Mutex.protect sh.mu (fun () -> Hashtbl.reset sh.tbl)) table
 
+(* Accumulate (count, self_ns, self_minor) into a stat table. *)
+let bump tbl key ~count ~self_ns ~self_minor =
+  let s =
+    Option.value (Hashtbl.find_opt tbl key)
+      ~default:{ count = 0; self_ns = 0; self_minor_words = 0. }
+  in
+  Hashtbl.replace tbl key
+    {
+      count = s.count + count;
+      self_ns = s.self_ns + self_ns;
+      self_minor_words = s.self_minor_words +. self_minor;
+    }
+
 (* Per-name rollup of a path snapshot: a name's inclusive total is the
    sum of self values over every path it appears on, counted once per
-   occurrence (so recursive spans — "a;b;a" — roll up exactly like the
-   flat table, which records every close).  Count is closes, i.e. paths
-   that END in the name. *)
+   occurrence (so recursive spans — "a;b;a" — roll up exactly like
+   closes_by_name, which books every close's inclusive wall).  Count is
+   closes, i.e. paths that END in the name. *)
 let name_totals snap =
-  let tbl : (string, cell) Hashtbl.t = Hashtbl.create 32 in
-  let get name =
-    match Hashtbl.find_opt tbl name with
-    | Some c -> c
-    | None ->
-        let c = { c_count = 0; c_self_ns = 0; c_self_minor = 0. } in
-        Hashtbl.add tbl name c;
-        c
-  in
+  let tbl : (string, stat) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (path, (s : stat)) ->
-      let segs = String.split_on_char ';' path in
-      (match List.rev segs with
-      | last :: _ -> (get last).c_count <- (get last).c_count + s.count
-      | [] -> ());
+      bump tbl (last_segment path) ~count:s.count ~self_ns:0 ~self_minor:0.;
       List.iter
         (fun name ->
-          let c = get name in
-          c.c_self_ns <- c.c_self_ns + s.self_ns;
-          c.c_self_minor <- c.c_self_minor +. s.self_minor_words)
-        segs)
+          bump tbl name ~count:0 ~self_ns:s.self_ns
+            ~self_minor:s.self_minor_words)
+        (String.split_on_char ';' path))
     snap;
-  List.sort compare
-    (Hashtbl.fold
-       (fun name c acc ->
-         ( name,
-           {
-             count = c.c_count;
-             self_ns = c.c_self_ns;
-             self_minor_words = c.c_self_minor;
-           } )
-         :: acc)
-       tbl [])
+  sorted_bindings tbl
 
 type flavor = Wall_ns | Minor_words
 
@@ -258,12 +296,6 @@ let write_folded path =
   dump Minor_words (alloc_path path)
 
 (* --- offline reconstruction from recorded span events --- *)
-
-let num_field k j =
-  match Json.member k j with
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some (Json.Float f) -> Some f
-  | _ -> None
 
 type node = {
   n_name : string;
@@ -306,21 +338,17 @@ let of_events events =
     (fun j ->
       match Json.member "event" j with
       | Some (Json.Str "span") -> (
-          match (Json.member "name" j, num_field "dur_us" j) with
+          match (Json.member "name" j, Json.num_field "dur_us" j) with
           | Some (Json.Str name), Some dur_us ->
-              let ts = Option.value ~default:0. (num_field "ts_us" j) in
+              let ts = Option.value ~default:0. (Json.num_field "ts_us" j) in
               (* recordings made by this library carry the span's own
                  start stamp; older ones fall back to close - duration *)
               let start =
-                Option.value ~default:(ts -. dur_us) (num_field "t0_us" j)
+                Option.value ~default:(ts -. dur_us) (Json.num_field "t0_us" j)
               in
               let ns = int_of_float (Float.round (dur_us *. 1e3)) in
-              let minor = Option.value ~default:0. (num_field "minor_w" j) in
-              let dom =
-                match Json.member "dom" j with
-                | Some (Json.Int d) -> d
-                | _ -> 0
-              in
+              let minor = Option.value ~default:0. (Json.num_field "minor_w" j) in
+              let dom = Option.value ~default:0 (Json.int_field "dom" j) in
               let bucket =
                 match Hashtbl.find_opt by_dom dom with
                 | Some l -> l
@@ -334,27 +362,14 @@ let of_events events =
           | _ -> ())
       | _ -> ())
     events;
-  let acc : (string, cell) Hashtbl.t = Hashtbl.create 64 in
-  let add path ~self_ns ~self_minor =
-    let c =
-      match Hashtbl.find_opt acc path with
-      | Some c -> c
-      | None ->
-          let c = { c_count = 0; c_self_ns = 0; c_self_minor = 0. } in
-          Hashtbl.add acc path c;
-          c
-    in
-    c.c_count <- c.c_count + 1;
-    c.c_self_ns <- c.c_self_ns + self_ns;
-    c.c_self_minor <- c.c_self_minor +. self_minor
-  in
+  let acc : (string, stat) Hashtbl.t = Hashtbl.create 64 in
   let rec walk prefix node =
     let path = if prefix = "" then node.n_name else prefix ^ ";" ^ node.n_name in
     let child_ns = List.fold_left (fun a c -> a + c.n_ns) 0 node.n_children in
     let child_minor =
       List.fold_left (fun a c -> a +. c.n_minor) 0. node.n_children
     in
-    add path ~self_ns:(node.n_ns - child_ns)
+    bump acc path ~count:1 ~self_ns:(node.n_ns - child_ns)
       ~self_minor:(node.n_minor -. child_minor);
     List.iter (walk path) node.n_children
   in
@@ -363,17 +378,7 @@ let of_events events =
       let closes = List.rev !(Hashtbl.find by_dom dom) in
       List.iter (walk "") (tree_of_closes closes))
     (List.rev !dom_order);
-  List.sort compare
-    (Hashtbl.fold
-       (fun path c acc ->
-         ( path,
-           {
-             count = c.c_count;
-             self_ns = c.c_self_ns;
-             self_minor_words = c.c_self_minor;
-           } )
-         :: acc)
-       acc [])
+  sorted_bindings acc
 
 (* top self-time paths, for Stats.print and report --summarize *)
 let top ?(limit = 10) snap =

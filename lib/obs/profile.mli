@@ -9,7 +9,13 @@
     recorded integers, self values telescope: summing self-time over a
     well-nested tree reproduces the root's recorded wall to the
     nanosecond — which is why the folded per-name totals can be pinned
-    {e equal} to the flat {!Span} totals, not merely close.
+    {e equal} to the per-name {!Span} totals, not merely close.
+
+    The path table is the one span table.  Each path's cell also keeps
+    the closes' inclusive wall time (total and max), minor and major
+    words, and a log-bucket {!Histogram} of durations; {!Span.snapshot}
+    is the per-name rollup of those cells ({!closes_by_name}).  Every
+    span close is booked once, here.
 
     Accumulation is sharded per domain ({!Metrics}-style 8-way
     [Domain.self] indexing) and the stacks live in domain-local
@@ -18,8 +24,9 @@
     frames popped over are detached and still record to their (already
     fixed) path when their own close arrives.
 
-    Disabled by default; [--profile] / [--stats] entry points enable it
-    together with {!Span}. *)
+    Disabled by default.  {!set_enabled} and {!Span.set_enabled} set
+    the same flag, and {!reset_all} and {!Span.reset_all} clear the
+    same table. *)
 
 type stat = { count : int; self_ns : int; self_minor_words : float }
 (** [count]: closes recorded at this exact path; [self_ns] /
@@ -27,22 +34,27 @@ type stat = { count : int; self_ns : int; self_minor_words : float }
     the path itself, excluding direct children. *)
 
 val enabled : unit -> bool
+(** The one span/profile enable flag ({!Span.enabled} reads it too). *)
+
 val set_enabled : bool -> unit
 
 type token
-(** One open frame (or nothing, when profiling is disabled).  Produced
-    by {!enter}, consumed by {!close}; {!Span} threads it through its
-    handles. *)
+(** One open frame.  Produced by {!enter}, consumed by {!close};
+    {!Span} threads it through its handles (and checks the enable flag
+    before opening one). *)
 
 val enter : string -> token
 (** Push a frame for [name] on the calling domain's stack.  The frame's
     path is [<parent path>;name] ([name] alone at depth 0, or
     [<base>;name] under {!with_root}). *)
 
-val close : token -> wall_ns:int -> minor_words:float -> unit
-(** Record the frame's self values ([wall_ns] minus accumulated child
-    wall; likewise minor words) at its path, pop it, and charge
-    [wall_ns] / [minor_words] to the new top as child totals.  Closing
+val close :
+  token -> wall_ns:int -> minor_words:float -> major_words:float -> unit
+(** Record the close at the frame's path — its self values ([wall_ns]
+    minus accumulated child wall; likewise minor words) and its
+    inclusive [wall_ns] (into the total, max and latency histogram),
+    [minor_words] and [major_words] — pop it, and charge [wall_ns] /
+    [minor_words] to the new top as child totals.  Closing
     out of order detaches the frames opened above (their own close
     still records, without touching the stack); closing from a
     different domain, or a frame already popped over, only records. *)
@@ -64,12 +76,28 @@ val stack_depth : unit -> int
 val snapshot : unit -> (string * stat) list
 (** All recorded paths merged across shards, sorted by path. *)
 
+type closes = {
+  closes : int;
+  wall_ns : int;  (** inclusive: children's time included *)
+  max_ns : int;
+  minor_words : float;
+  major_words : float;
+  durations : Histogram.t;  (** one sample per close, in ns *)
+}
+
+val closes_by_name : unit -> (string * closes) list
+(** The path table rolled up by each path's last segment (the span
+    name), merged across shards and sorted by name: counts, totals and
+    words sum, max takes the max, durations merge.  These are exactly
+    the closes recorded under each name — what {!Span.snapshot}
+    reports. *)
+
 val name_totals : (string * stat) list -> (string * stat) list
 (** Per-name rollup of a {!snapshot}: a name's [self_ns] /
     [self_minor_words] sum over every path occurrence (so recursion
-    counts once per occurrence, matching the flat table), and its
+    counts once per occurrence, matching {!closes_by_name}), and its
     [count] is the closes — paths ending in the name.  For well-nested
-    runs this equals the flat {!Span} totals exactly. *)
+    runs this equals the {!Span.snapshot} totals exactly. *)
 
 type flavor = Wall_ns | Minor_words
 

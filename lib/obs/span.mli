@@ -1,12 +1,13 @@
 (** Nestable wall-clock timing spans.
 
-    Spans aggregate into a process-global table keyed by span name:
-    count, total and maximum duration, a log-bucketed latency
-    {!Histogram} (so [--stats] can report p50/p90/p99 per span family),
-    and the {!Gcstats} minor/major-word allocation attributed to the
-    span's scope.  Nesting is free-form — an inner span's time (and
-    allocation) is also counted inside every enclosing span (the table
-    records durations, not an exclusive-time tree).
+    Every span close is booked once, in {!Profile}'s per-call-path
+    table, and {!snapshot} rolls that table up by span name: count,
+    total and maximum duration, p50/p90/p99 from the merged log-bucket
+    latency {!Histogram}s, and the {!Gcstats} minor/major-word
+    allocation attributed to the span's scope.  Nesting is free-form —
+    an inner span's time (and allocation) is also counted inside every
+    enclosing span (the per-name stats are inclusive durations, not an
+    exclusive-time tree; {!Profile} has the self-time view).
 
     Spans are {e disabled by default} and then cost one atomic load per
     {!with_} call (no clock read, no GC capture, no histogram, no
@@ -21,14 +22,14 @@
     {!Trace_export} turns into Chrome trace complete slices and
     {!Profile.of_events} re-nests into offline folded stacks.
 
-    Every enter/exit pair also feeds {!Profile}: the profiler keeps a
+    Every enter/exit pair drives {!Profile}: the profiler keeps a
     per-domain stack of open spans and attributes self-time and
     self-allocation to the full call path (see {!Profile}).
 
-    The aggregate table is sharded per domain (the {!Metrics} pattern),
-    so spans close concurrently from {!Bbng_core.Parallel} domains
-    without contending; keep spans coarse (per player / per phase, not
-    per vertex). *)
+    The path table is sharded per domain (the {!Metrics} pattern), so
+    spans close concurrently from {!Bbng_core.Parallel} domains without
+    contending; keep spans coarse (per player / per phase, not per
+    vertex). *)
 
 type handle
 (** An open span.  Handles are affine: closing twice is a no-op, and a
@@ -46,7 +47,10 @@ type stat = {
 }
 
 val enabled : unit -> bool
+
 val set_enabled : bool -> unit
+(** The same flag as {!Profile.set_enabled}: one switch turns spans
+    and call-path profiling on or off together. *)
 
 val enter : string -> handle
 val exit : handle -> unit
@@ -59,11 +63,9 @@ val with_ : string -> (unit -> 'a) -> 'a
     (recording duration, latency-histogram sample and GC delta) even if
     [f] raises. *)
 
-val time : string -> (unit -> 'a) -> 'a
-(** Alias of {!with_} (the original name; kept for instrumented call
-    sites). *)
-
 val snapshot : unit -> (string * stat) list
-(** All recorded spans, sorted by name. *)
+(** All recorded spans, sorted by name: {!Profile.closes_by_name}
+    with its merged durations read as quantiles. *)
 
 val reset_all : unit -> unit
+(** Clears the one span table (same as {!Profile.reset_all}). *)

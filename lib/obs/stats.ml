@@ -23,12 +23,15 @@ let spans_json () =
              ] ))
        (Span.snapshot ()))
 
+(* the Metrics histograms with at least one sample, name-sorted *)
+let observed_histograms () =
+  List.filter_map
+    (fun (k, _, h) -> if Histogram.count h = 0 then None else Some (k, h))
+    (Metrics.snapshot ()).Metrics.histograms
+
 let histograms_json () =
   Json.Obj
-    (List.filter_map
-       (fun (k, h) ->
-         if Histogram.count h = 0 then None else Some (k, Histogram.to_json h))
-       (Histogram.snapshot ()))
+    (List.map (fun (k, h) -> (k, Histogram.to_json h)) (observed_histograms ()))
 
 let provenance_fields () =
   [
@@ -53,9 +56,7 @@ let summary_fields () =
 let print oc =
   let counters = List.filter (fun (_, v) -> v <> 0) (Counter.snapshot ()) in
   let spans = Span.snapshot () in
-  let hists =
-    List.filter (fun (_, h) -> Histogram.count h > 0) (Histogram.snapshot ())
-  in
+  let hists = observed_histograms () in
   (* eyeball order: the hottest line first — counters by count, spans by
      total time, histograms by sample count, all descending (the JSON
      renderings stay name-sorted for stable diffs) *)

@@ -10,8 +10,9 @@ val spans_json : unit -> Json.t
     for stable report diffs. *)
 
 val histograms_json : unit -> Json.t
-(** [Obj] of every registered domain-value histogram with at least one
-    sample ({!Histogram.to_json} per entry), sorted by name. *)
+(** [Obj] of every {!Metrics.histogram} with at least one sample
+    ({!Histogram.to_json} of its merged shards per entry), sorted by
+    name. *)
 
 val provenance_fields : unit -> (string * Json.t) list
 (** [argv], [ocaml_version] and [word_size] — stamped into
@@ -21,8 +22,8 @@ val summary_fields : unit -> (string * Json.t) list
 (** Provenance plus [("counters", ...); ("spans", ...);
     ("histograms", ...); ("metrics", ...); ("gc", ...)] — the payload
     of a final [run.summary] event or a bench report.  The [metrics]
-    object is {!Metrics.to_json}: the sharded registry aggregated
-    across domains. *)
+    object is {!Metrics.to_json}: the sharded counters and gauges
+    aggregated across domains. *)
 
 val print : out_channel -> unit
 (** Human-readable summary (the [--stats] output).  Counters at zero

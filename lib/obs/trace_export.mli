@@ -7,6 +7,12 @@
     re-running it — the [bbng_cli report] subcommand is a thin wrapper
     over these two functions. *)
 
+val event_of_line : string -> Json.t option
+(** Decode one JSONL line as an event: [Some] object carrying an
+    ["event"] field, [None] for anything else (not JSON, torn JSON,
+    another shape).  Blank lines are the caller's to ignore — both
+    {!read_events} and {!Live_view.feed_line} skip them uncounted. *)
+
 val read_events : in_channel -> Json.t list * int
 (** Read a JSONL stream to end-of-file.  Returns the event objects (in
     order) and the count of skipped lines — lines that are not JSON or

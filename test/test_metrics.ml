@@ -17,6 +17,8 @@ module Progress = Bbng_obs.Progress
 module Live_view = Bbng_obs.Live_view
 module Sink = Bbng_obs.Sink
 module Json = Bbng_obs.Json
+module Histogram = Bbng_obs.Histogram
+module Trace_export = Bbng_obs.Trace_export
 module Dynamics = Bbng_dynamics.Dynamics
 module Schedule = Bbng_dynamics.Schedule
 
@@ -76,12 +78,11 @@ let test_histogram_multi_domain_aggregation () =
          true));
   let after = Metrics.histogram_snapshot h in
   check_int "every observation counted" n
-    (after.Metrics.hs_count - before.Metrics.hs_count);
+    (Histogram.count after - Histogram.count before);
   check_int "sum aggregates exactly" (n * (n + 1) / 2)
-    (after.Metrics.hs_sum - before.Metrics.hs_sum);
-  check_int "bucket counts cover the count"
-    after.Metrics.hs_count
-    (Array.fold_left ( + ) 0 after.Metrics.hs_buckets)
+    (Histogram.total after - Histogram.total before);
+  check_int "bucket counts cover the count" (Histogram.count after)
+    (Array.fold_left ( + ) 0 (Histogram.bucket_counts after))
 
 let test_gauge_labels () =
   let g = Metrics.gauge ~labels:[ ("task", "a") ] "test.metrics.g" in
@@ -281,6 +282,53 @@ let test_feed_line_truncation_tolerant () =
   check_true "renderer survives an all-skip state"
     (contains ~needle:"torn.jsonl.partial" frame)
 
+(* the offline reader and the live viewer share one line decoder: on
+   any mix of events, torn prefixes, alien JSON and junk they must
+   agree on what is an event and what is a skip *)
+let line_gen =
+  let open QCheck.Gen in
+  let event =
+    map2
+      (fun name v ->
+        Json.to_string
+          (Json.Obj [ ("event", Json.Str name); ("ts_us", Json.Int v) ]))
+      (oneofl [ "span"; "dynamics.step"; "progress.heartbeat"; "run.summary" ])
+      small_nat
+  in
+  let torn =
+    event >>= fun s -> map (String.sub s 0) (int_bound (String.length s - 1))
+  in
+  let alien =
+    oneofl
+      [ "[1,2]"; "42"; "\"event\""; "null"; "{\"no_event\":1}"; "{\"event\":7}" ]
+  in
+  let wrong =
+    oneofl [ ""; "   "; "{\"event\":"; "not json"; "{\"event\":1,}"; "\255junk" ]
+  in
+  frequency [ (3, event); (2, torn); (1, alien); (1, wrong) ]
+
+let test_reader_and_viewer_agree =
+  qcheck ~count:100 "read_events and feed_line agree on any line mix"
+    QCheck.(make Gen.(list_size (int_range 0 30) line_gen))
+    (fun lines ->
+      let path = Filename.temp_file "bbng_decode" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out_bin path in
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+          close_out oc;
+          let ic = open_in_bin path in
+          let events, skipped =
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () -> Trace_export.read_events ic)
+          in
+          let st = Live_view.create_state () in
+          List.iter (Live_view.feed_line st) lines;
+          List.length events = Live_view.events st
+          && skipped = Live_view.skipped st))
+
 let test_tail_consumes_only_complete_lines () =
   let path = Filename.temp_file "bbng_tail" ".jsonl" in
   Fun.protect
@@ -347,6 +395,7 @@ let suite =
     case "saturated totals suppress total/eta" test_heartbeat_saturated_total;
     case "replay ignores heartbeats" test_replay_ignores_heartbeats;
     case "feed_line tolerates torn lines" test_feed_line_truncation_tolerant;
+    test_reader_and_viewer_agree;
     case "tail consumes only complete lines" test_tail_consumes_only_complete_lines;
     case "retarget keeps the read offset" test_tail_retarget_keeps_offset;
   ]

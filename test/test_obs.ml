@@ -5,6 +5,7 @@ module Span = Bbng_obs.Span
 module Sink = Bbng_obs.Sink
 module Json = Bbng_obs.Json
 module Histogram = Bbng_obs.Histogram
+module Metrics = Bbng_obs.Metrics
 module Gcstats = Bbng_obs.Gcstats
 module Trace_export = Bbng_obs.Trace_export
 module Stats = Bbng_obs.Stats
@@ -55,8 +56,8 @@ let span_stat name =
 let test_span_nesting () =
   with_spans (fun () ->
       Span.reset_all ();
-      Span.time "test.outer" (fun () ->
-          Span.time "test.inner" (fun () -> Unix.sleepf 0.002));
+      Span.with_ "test.outer" (fun () ->
+          Span.with_ "test.inner" (fun () -> Unix.sleepf 0.002));
       let outer = span_stat "test.outer" and inner = span_stat "test.inner" in
       check_int "outer count" 1 outer.Span.count;
       check_int "inner count" 1 inner.Span.count;
@@ -81,14 +82,14 @@ let test_span_disabled_is_inert () =
   Span.reset_all ();
   let h = Span.enter "test.disabled" in
   Span.exit h;
-  ignore (Span.time "test.disabled" (fun () -> 7));
+  ignore (Span.with_ "test.disabled" (fun () -> 7));
   check_true "nothing recorded while disabled"
     (List.assoc_opt "test.disabled" (Span.snapshot ()) = None)
 
 let test_span_records_on_raise () =
   with_spans (fun () ->
       Span.reset_all ();
-      (try Span.time "test.raising" (fun () -> failwith "boom")
+      (try Span.with_ "test.raising" (fun () -> failwith "boom")
        with Failure _ -> ());
       check_int "span closed despite raise" 1 (span_stat "test.raising").Span.count)
 
@@ -173,7 +174,7 @@ let test_json_error_paths () =
 (* --- histograms --- *)
 
 let test_histogram_basics () =
-  let h = Histogram.unregistered "test.hist.basics" in
+  let h = Histogram.create () in
   check_int "empty count" 0 (Histogram.count h);
   check_true "empty quantile is 0" (Histogram.quantile h 0.5 = 0.);
   List.iter (Histogram.record h) [ 0; 1; 2; 3; 100; 7 ];
@@ -188,14 +189,28 @@ let test_histogram_basics () =
     && Histogram.quantile h 0.9 <= Histogram.quantile h 0.99);
   check_true "quantile bounded by max"
     (Histogram.quantile h 0.99 <= float_of_int (Histogram.max_value h));
-  let h2 = Histogram.make "test.hist.registry" in
-  let h2' = Histogram.make "test.hist.registry" in
-  Histogram.record h2 5;
-  check_int "make is idempotent" (Histogram.count h2) (Histogram.count h2');
-  check_true "find by name" (Histogram.find "test.hist.registry" <> None);
-  check_true "snapshot sorted"
-    (let names = List.map fst (Histogram.snapshot ()) in
-     List.sort compare names = names)
+  let h2 = Metrics.histogram "test.hist.registry" in
+  let h2' = Metrics.histogram "test.hist.registry" in
+  Metrics.observe h2 5;
+  let count h = Histogram.count (Metrics.histogram_snapshot h) in
+  check_int "histogram is find-or-create" (count h2) (count h2');
+  let names =
+    List.map (fun (n, _, _) -> n) (Metrics.snapshot ()).Metrics.histograms
+  in
+  check_true "listed in the registry" (List.mem "test.hist.registry" names);
+  check_true "snapshot sorted" (List.sort compare names = names)
+
+(* a lone sample sits at the top of its bucket's ranks: every quantile
+   reads the exact max, not the bucket floor (2^32 ns = 4294.967 ms) *)
+let test_histogram_one_sample () =
+  let h = Histogram.create () in
+  Histogram.record h 7_161_000_000;
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "q=%.2f reads max" q)
+        7_161_000_000. (Histogram.quantile h q))
+    [ 0.; 0.5; 0.9; 0.99; 1. ]
 
 (* Quantile estimates must be within a factor of two of the exact
    sample quantile: estimate and true value share a power-of-two
@@ -205,7 +220,7 @@ let test_histogram_quantile_vs_brute () =
     (fun seed ->
       let st = rng seed in
       let n = 500 + Random.State.int st 1500 in
-      let h = Histogram.unregistered "test.hist.brute" in
+      let h = Histogram.create () in
       let values =
         Array.init n (fun _ ->
             (* mix scales so many buckets are occupied *)
@@ -233,8 +248,7 @@ let test_histogram_quantile_vs_brute () =
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let test_histogram_parallel_record () =
-  let h = Histogram.make "test.hist.parallel" in
-  Histogram.reset h;
+  let h = Histogram.create () in
   let n = 10_000 in
   check_true "all workers succeed"
     (Parallel.for_all ~domains:4 ~n (fun i ->
@@ -685,6 +699,7 @@ let suite =
     case "json rejects garbage" test_json_rejects_garbage;
     case "json error paths" test_json_error_paths;
     case "histogram basics" test_histogram_basics;
+    case "one-sample histogram reads its max" test_histogram_one_sample;
     case "histogram quantiles vs brute force" test_histogram_quantile_vs_brute;
     case "histogram parallel recording" test_histogram_parallel_record;
     case "gcstats delta" test_gcstats_delta;

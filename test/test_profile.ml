@@ -1,12 +1,13 @@
-(* Call-path attribution (Bbng_obs.Profile) and the sharded Span table.
+(* Call-path attribution (Bbng_obs.Profile) and the Span stats rolled
+   up from its sharded path table.
 
    The load-bearing properties, straight from the ISSUE's acceptance
    criteria: folded per-name totals equal the flat Span totals exactly
    (integer telescoping, not approximation); out-of-order and double
    closes never corrupt a domain's path stack; offline reconstruction
    from recorded span events matches the live profile; multi-domain
-   span totals equal single-domain totals now that the table is
-   sharded; and torn .partial recordings still flame. *)
+   span totals equal single-domain totals across the table's shards;
+   and torn .partial recordings still flame. *)
 
 open Helpers
 open Bbng_core
@@ -304,19 +305,27 @@ let test_concurrent_recording () =
       check_int "sharded table lost nothing" (4 * per_domain)
         (List.assoc "conc" (span_totals ())).Span.count)
 
-(* the merged-shard quantile path: aggregating a histogram's own bucket
-   counts must reproduce its direct quantile estimates *)
-let test_quantile_of_counts () =
-  let h = Histogram.unregistered "q" in
-  List.iter (Histogram.record h) [ 1; 2; 3; 10; 100; 1000; 5000 ];
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "q=%.2f" q)
-        (Histogram.quantile h q)
-        (Histogram.quantile_of_counts ~max_value:(Histogram.max_value h)
-           (Histogram.bucket_counts h) q))
-    [ 0.; 0.5; 0.9; 0.99; 1. ]
+(* the shard-merge path: a sample split across several histograms
+   merges into exactly the histogram of all of it *)
+let test_merge_of_split_sample =
+  qcheck ~count:50 "merge of a split sample equals the histogram of all of it"
+    QCheck.(list_of_size Gen.(int_range 0 200) (pair (int_range 0 3) (int_range 0 1_000_000_000)))
+    (fun sample ->
+      let whole = Histogram.create () in
+      let parts = Array.init 4 (fun _ -> Histogram.create ()) in
+      List.iter
+        (fun (part, v) ->
+          Histogram.record whole v;
+          Histogram.record parts.(part) v)
+        sample;
+      let merged = Histogram.merge (Array.to_list parts) in
+      Histogram.bucket_counts merged = Histogram.bucket_counts whole
+      && Histogram.count merged = Histogram.count whole
+      && Histogram.total merged = Histogram.total whole
+      && Histogram.max_value merged = Histogram.max_value whole
+      && List.for_all
+           (fun q -> Histogram.quantile merged q = Histogram.quantile whole q)
+           [ 0.; 0.5; 0.9; 0.99; 1. ])
 
 let suite =
   [
@@ -329,5 +338,5 @@ let suite =
     test_multi_domain_totals;
     case "parallel workers root under caller path" test_worker_paths_rooted;
     case "concurrent recording is lossless" test_concurrent_recording;
-    case "quantile_of_counts matches direct quantile" test_quantile_of_counts;
+    test_merge_of_split_sample;
   ]
