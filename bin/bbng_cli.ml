@@ -56,7 +56,11 @@ let obs_term =
       & info [ "report" ] ~docv:"FILE.jsonl"
           ~doc:
             "Stream structured events (one JSON object per line) to \
-             $(docv), ending with a run.summary event.  Pass '-' to \
+             $(docv), ending with a run.summary event.  Span closes are \
+             not written one by one: each milestone event (a dynamics \
+             step, a heartbeat, run.summary) is preceded by one \
+             span.rollup event per call path that closed spans since \
+             the previous one.  Pass '-' to \
              write JSONL to stdout, enabling pipelines like \
              $(b,bbng_cli dynamics --report - | bbng_cli report \
              --summarize -).")
@@ -1073,8 +1077,9 @@ let report_cmd =
       & info [ "summarize" ]
           ~doc:
             "Pretty-print the recorded run (event tally, outcomes, \
-             run.summary) without re-running it.  This is the default \
-             when --to-chrome-trace is absent.")
+             heartbeats, the self-time top-10 folded from its span.rollup \
+             events, run.summary) without re-running it.  This is the \
+             default when --to-chrome-trace is absent.")
   in
   let run () input chrome summarize =
     let input = resolve_recording input in
@@ -1155,11 +1160,11 @@ let flame_cmd =
   in
   let run () input out alloc =
     let events = read_events_or_exit input in
-    (* re-nest the recorded span closes into per-domain call paths —
-       the same attribution a live --profile run accumulates *)
+    (* fold the recorded span.rollup deltas by call path — the same
+       table a live --profile run writes out *)
     let snap = Obs.Profile.of_events events in
     if snap = [] then begin
-      Printf.eprintf "bbng: no span events in %s (was it recorded with --report?)\n"
+      Printf.eprintf "bbng: no span.rollup events in %s (was it recorded with --report?)\n"
         input;
       die Obs.Exit_code.input_error
     end;
@@ -1188,9 +1193,11 @@ let flame_cmd =
   let info =
     Cmd.info "flame"
       ~doc:
-        "Reconstruct flamegraph.pl/speedscope folded stacks (self-time, \
-         or self-allocation with --alloc) from a recorded --report run, \
-         per recording domain, merged."
+        "Fold the span.rollup events of a recorded --report run into \
+         flamegraph.pl/speedscope folded stacks (self-time in ns, or \
+         self-allocation in minor words with --alloc).  A complete \
+         recording flames exactly as the run's --profile output; a \
+         .partial prefix flames every close up to its last milestone."
   in
   Cmd.v info Term.(ret (const run $ obs_term $ input $ out $ alloc))
 

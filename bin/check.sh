@@ -94,8 +94,8 @@ grep -q "(1 unparsed)" _build/TELEMETRY.torn.out || {
 
 echo "== profiling: live --profile and offline flame agree =="
 # a recorded dynamics run must profile identically live (--profile) and
-# offline (flame on the report), both carrying the known hot call path,
-# and the allocation flavor must ride along
+# offline (flame on the report's span.rollup events), both carrying the
+# known hot call path, and the allocation flavor must ride along
 mkdir -p _build
 dune exec bin/bbng_cli.exe -- dynamics -b 2,2,2,2,2,2,2,2 --seed 3 \
   --report _build/PROF.jsonl --profile _build/PROF.folded > /dev/null
@@ -110,6 +110,25 @@ grep -q "^dynamics.run;dynamics.select_move " _build/PROF.folded || {
 dune exec bin/bbng_cli.exe -- flame _build/PROF.jsonl -o _build/PROF.offline.folded
 cmp -s _build/PROF.folded _build/PROF.offline.folded || {
   echo "check: offline flame disagrees with the live profile"
+  exit 1
+}
+
+# the census closes one span per certified player: its report must
+# carry them as a handful of span.rollup lines (O(paths), not one line
+# per close) that still flame exactly as the live profile
+dune exec bin/bbng_cli.exe -- census -b 1,1,1,1,1,1 \
+  --report _build/PROFC.jsonl --profile _build/PROFC.folded > /dev/null
+dune exec bin/bbng_cli.exe -- flame _build/PROFC.jsonl -o _build/PROFC.offline.folded
+cmp -s _build/PROFC.folded _build/PROFC.offline.folded || {
+  echo "check: census offline flame disagrees with the live profile"
+  exit 1
+}
+if grep -q '"event":"span"' _build/PROFC.jsonl; then
+  echo "check: census report holds per-close span events"
+  exit 1
+fi
+[ "$(wc -l < _build/PROFC.jsonl)" -lt 20 ] || {
+  echo "check: census report has $(wc -l < _build/PROFC.jsonl) lines, expected < 20"
   exit 1
 }
 

@@ -8,7 +8,10 @@ let c_verified = Bbng_obs.Counter.make "equilibrium.certificates_verified"
 
 (* Every per-player best-response check in a certification funnels
    through here: one span (coarse enough for the mutex-protected span
-   table, even from Parallel domains) and one counter bump. *)
+   table, even from Parallel domains) and one counter bump.  A census
+   closes this span once per scanned player, hundreds of thousands of
+   times, so its close writes nothing: a report carries the closes as
+   one span.rollup per call path, drained at the sink's milestones. *)
 let check_player finder game profile player =
   Bbng_obs.Counter.bump c_players;
   Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->

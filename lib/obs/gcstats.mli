@@ -1,10 +1,12 @@
 (** GC telemetry as [Gc.quick_stat] deltas.
 
     [Gc.quick_stat] reads the runtime's accumulators without forcing a
-    collection, so a capture costs a record allocation and nothing else.
-    {!Span} captures a snapshot around every enabled span, and the final
+    collection.  It sums every domain's sampled stats (walking every
+    domain slot, about a microsecond on OCaml 5.1), so it measures the
+    whole process: heartbeats carry windowed deltas and the final
     [run.summary] event carries {!since_start} — the run's total
-    allocation pressure — under the ["gc"] key. *)
+    allocation pressure — under the ["gc"] key.  {!Span} does not use
+    it: a span reads its own domain's counters. *)
 
 type snapshot = {
   minor_words : float;

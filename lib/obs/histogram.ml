@@ -43,6 +43,19 @@ let max_value t = Atomic.get t.max_v
 
 let bucket_counts t = Array.init n_buckets (fun i -> Atomic.get t.buckets.(i))
 
+let of_buckets counts ~total ~max_value =
+  let t = create () in
+  List.iter
+    (fun (i, c) ->
+      if i >= 0 && i < n_buckets then begin
+        ignore (Atomic.fetch_and_add t.buckets.(i) c);
+        ignore (Atomic.fetch_and_add t.count c)
+      end)
+    counts;
+  Atomic.set t.total total;
+  Atomic.set t.max_v max_value;
+  t
+
 let merge ts =
   let m = create () in
   List.iter

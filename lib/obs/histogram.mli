@@ -39,6 +39,15 @@ val bucket_counts : t -> int array
     {!bucket_bounds}.  A fresh array; reading is atomic per bucket but
     not across buckets (concurrent writers may land between reads). *)
 
+val of_buckets : (int * int) list -> total:int -> max_value:int -> t
+(** [of_buckets counts ~total ~max_value] rebuilds a histogram from
+    [(bucket index, count)] pairs (indexes as in {!bucket_bounds}; a
+    repeated index adds up, one outside [[0, 64)] is ignored), the sum
+    of the observations and their maximum — how a reader of
+    [span.rollup] events recovers each span's distribution.  Its
+    {!quantile}s equal those of the histogram the counts were read
+    from. *)
+
 val merge : t list -> t
 (** A fresh histogram holding every observation of the given ones:
     buckets, counts and totals sum, max takes the max.  How per-domain

@@ -22,8 +22,9 @@ type state = {
   mutable last_diagnosis : Json.t option;
   mutable last_outcome : Json.t option;
   mutable summary : Json.t option;
-  (* live latency distributions rebuilt from the span events we tail —
-     quantiles without waiting for the final run.summary *)
+  (* live latency distributions per span name, rebuilt from the
+     span.rollup buckets we tail — quantiles without waiting for the
+     final run.summary *)
   spans : (string, Histogram.t) Hashtbl.t;
 }
 
@@ -46,9 +47,7 @@ let create_state () =
   }
 
 let feed_event st j =
-  let name =
-    match Json.member "event" j with Some (Json.Str s) -> s | _ -> "?"
-  in
+  let name = Trace_export.event_name j in
   st.events <- st.events + 1;
   st.last_event <- Some name;
   Hashtbl.replace st.tally name
@@ -71,20 +70,23 @@ let feed_event st j =
   | "dynamics.diagnosis" -> st.last_diagnosis <- Some j
   | "dynamics.outcome" -> st.last_outcome <- Some j
   | "run.summary" -> st.summary <- Some j
-  | "span" -> (
-      match (Json.str_field "name" j, Json.num_field "dur_us" j) with
-      | Some span_name, Some dur ->
-          let h =
-            match Hashtbl.find_opt st.spans span_name with
-            | Some h -> h
-            | None ->
-                let h = Histogram.create () in
-                Hashtbl.add st.spans span_name h;
-                h
+  | "span.rollup" -> (
+      match Profile.read_rollup j with
+      | Some (path, _, c) ->
+          let span = Profile.last_segment path in
+          let merged =
+            match Hashtbl.find_opt st.spans span with
+            | Some h -> Histogram.merge [ h; c.Profile.durations ]
+            | None -> c.Profile.durations
           in
-          Histogram.record h (int_of_float dur)
-      | _ -> ())
+          Hashtbl.replace st.spans span merged
+      | None -> ())
   | _ -> ()
+
+let spans st =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k h acc -> (k, h) :: acc) st.spans [])
 
 (* one complete line; never raises *)
 let feed_line st line =
@@ -274,9 +276,9 @@ let render ?(width = 72) st ~source =
         (fun (k, v) -> line "  %-*s %d" (min w (width - 16)) k v)
         counters);
   let spans =
-    List.sort
+    List.stable_sort
       (fun (_, a) (_, b) -> compare (Histogram.total b) (Histogram.total a))
-      (Hashtbl.fold (fun k h acc -> (k, h) :: acc) st.spans [])
+      (spans st)
   in
   (match spans with
   | [] -> ()
@@ -290,8 +292,8 @@ let render ?(width = 72) st ~source =
           if i < 6 then
             line "  %-*s %d / %.3f / %.3f" (min w (width - 16)) k
               (Histogram.count h)
-              (Histogram.quantile h 0.5 /. 1e3)
-              (Histogram.quantile h 0.99 /. 1e3))
+              (Histogram.quantile h 0.5 /. 1e6)
+              (Histogram.quantile h 0.99 /. 1e6))
         spans);
   if finished then line "(run.summary seen — recording is complete)";
   Buffer.contents b

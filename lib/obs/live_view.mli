@@ -4,8 +4,9 @@
     by a live run — into a {!state} and renders a compact terminal
     frame from it: current phase (last dynamics step / event), latest
     [progress.heartbeat] (rate, ETA, budget headroom), top counters
-    from the heartbeat's embedded snapshot, and span latency quantiles
-    rebuilt from the tailed [span] events.
+    from the heartbeat's embedded snapshot, and per-span-name latency
+    quantiles rebuilt from the duration buckets of the tailed
+    [span.rollup] events.
 
     Robustness contract: the tail consumes only complete
     newline-terminated lines (a half-written trailing line stays
@@ -38,6 +39,12 @@ val heartbeats : state -> int
 val finished : state -> bool
 (** Whether a [run.summary] event has been seen — the recording is
     complete and a [top] loop may stop polling. *)
+
+val spans : state -> (string * Histogram.t) list
+(** Per span name (a rollup path's last segment), sorted by name: the
+    closes' durations in ns, summed over every [span.rollup] tailed so
+    far.  For a recording drained after its last close, counts and
+    quantiles equal {!Span.snapshot}'s. *)
 
 (** {1 Incremental file tailing} *)
 

@@ -13,6 +13,8 @@
    The path table is the one span table: each cell also keeps the
    close's inclusive wall (with its max), minor and major words, and a
    latency histogram, and Span's per-name stats are a rollup of it.
+   Each cell also remembers what it last reported, so Sink can drain
+   the difference as span.rollup events at its milestones.
    It is sharded per domain (same Domain.self pattern as Metrics) so
    Parallel workers record without contending; the open-span stacks
    live in domain-local storage and never need a lock at all. *)
@@ -25,7 +27,7 @@ type frame = {
   f_path : string;
   f_dom : int;
   mutable child_ns : int;
-  mutable child_minor : float;
+  mutable child_minor : int;
   (* cleared when the frame leaves its stack — a later (out-of-order or
      cross-domain) close then only records, never touches a stack *)
   mutable on_stack : bool;
@@ -50,15 +52,41 @@ let set_enabled b = Atomic.set enabled_flag b
 
 (* --- sharded path table --- *)
 
+(* What the last drain reported for a cell: the next drain reports the
+   difference.  Replaced wholesale at each drain, never mutated. *)
+type reported = {
+  r_count : int;
+  r_self_ns : int;
+  r_self_minor : int;
+  r_wall_ns : int;
+  r_minor : int;
+  r_major : int;
+  r_buckets : int array;
+}
+
+let nothing_reported =
+  {
+    r_count = 0;
+    r_self_ns = 0;
+    r_self_minor = 0;
+    r_wall_ns = 0;
+    r_minor = 0;
+    r_major = 0;
+    r_buckets = [||];
+  }
+
 type cell = {
   mutable c_count : int;
   mutable c_self_ns : int;
-  mutable c_self_minor : float;
+  mutable c_self_minor : int;
   mutable c_wall_ns : int;
-  mutable c_max_ns : int;
-  mutable c_minor : float;
-  mutable c_major : float;
+  (* the largest close since the last drain (c_hist keeps the
+     all-time max) *)
+  mutable c_win_max : int;
+  mutable c_minor : int;
+  mutable c_major : int;
   c_hist : Histogram.t;
+  mutable c_reported : reported;
 }
 
 let shards = 8
@@ -68,36 +96,40 @@ type shard = { tbl : (string, cell) Hashtbl.t; mu : Mutex.t }
 
 let table = Array.init shards (fun _ -> { tbl = Hashtbl.create 32; mu = Mutex.create () })
 
+(* the hot path: no allocation once the path's cell exists, and nothing
+   between lock and unlock can raise *)
 let record path ~self_ns ~self_minor ~wall_ns ~minor_words ~major_words =
   let sh = table.(shard_index ()) in
-  Mutex.protect sh.mu (fun () ->
-      let c =
-        match Hashtbl.find_opt sh.tbl path with
-        | Some c -> c
-        | None ->
-            let c =
-              {
-                c_count = 0;
-                c_self_ns = 0;
-                c_self_minor = 0.;
-                c_wall_ns = 0;
-                c_max_ns = 0;
-                c_minor = 0.;
-                c_major = 0.;
-                c_hist = Histogram.create ();
-              }
-            in
-            Hashtbl.add sh.tbl path c;
-            c
-      in
-      c.c_count <- c.c_count + 1;
-      c.c_self_ns <- c.c_self_ns + self_ns;
-      c.c_self_minor <- c.c_self_minor +. self_minor;
-      c.c_wall_ns <- c.c_wall_ns + wall_ns;
-      if wall_ns > c.c_max_ns then c.c_max_ns <- wall_ns;
-      c.c_minor <- c.c_minor +. minor_words;
-      c.c_major <- c.c_major +. major_words;
-      Histogram.record c.c_hist wall_ns)
+  Mutex.lock sh.mu;
+  let c =
+    match Hashtbl.find sh.tbl path with
+    | c -> c
+    | exception Not_found ->
+        let c =
+          {
+            c_count = 0;
+            c_self_ns = 0;
+            c_self_minor = 0;
+            c_wall_ns = 0;
+            c_win_max = 0;
+            c_minor = 0;
+            c_major = 0;
+            c_hist = Histogram.create ();
+            c_reported = nothing_reported;
+          }
+        in
+        Hashtbl.add sh.tbl path c;
+        c
+  in
+  c.c_count <- c.c_count + 1;
+  c.c_self_ns <- c.c_self_ns + self_ns;
+  c.c_self_minor <- c.c_self_minor + self_minor;
+  c.c_wall_ns <- c.c_wall_ns + wall_ns;
+  if wall_ns > c.c_win_max then c.c_win_max <- wall_ns;
+  c.c_minor <- c.c_minor + minor_words;
+  c.c_major <- c.c_major + major_words;
+  Histogram.record c.c_hist wall_ns;
+  Mutex.unlock sh.mu
 
 (* --- enter / close (driven by Span) --- *)
 
@@ -110,7 +142,7 @@ let enter name =
       f_path = path;
       f_dom = (Domain.self () :> int);
       child_ns = 0;
-      child_minor = 0.;
+      child_minor = 0;
       on_stack = true;
     }
   in
@@ -119,7 +151,7 @@ let enter name =
 
 let close f ~wall_ns ~minor_words ~major_words =
   record f.f_path ~self_ns:(wall_ns - f.child_ns)
-    ~self_minor:(minor_words -. f.child_minor)
+    ~self_minor:(minor_words - f.child_minor)
     ~wall_ns ~minor_words ~major_words;
   if f.on_stack && f.f_dom = (Domain.self () :> int) then begin
     let st = Domain.DLS.get dls in
@@ -138,7 +170,7 @@ let close f ~wall_ns ~minor_words ~major_words =
       match st.stack with
       | p :: _ ->
           p.child_ns <- p.child_ns + wall_ns;
-          p.child_minor <- p.child_minor +. minor_words
+          p.child_minor <- p.child_minor + minor_words
       | [] -> ()
     end
     else f.on_stack <- false
@@ -188,7 +220,6 @@ let grouped key =
   sorted_bindings acc
 
 let sum f cells = List.fold_left (fun a c -> a + f c) 0 cells
-let sumf f cells = List.fold_left (fun a c -> a +. f c) 0. cells
 
 let snapshot () =
   List.map
@@ -197,7 +228,7 @@ let snapshot () =
         {
           count = sum (fun c -> c.c_count) cells;
           self_ns = sum (fun c -> c.c_self_ns) cells;
-          self_minor_words = sumf (fun c -> c.c_self_minor) cells;
+          self_minor_words = float_of_int (sum (fun c -> c.c_self_minor) cells);
         } ))
     (grouped Fun.id)
 
@@ -222,9 +253,9 @@ let closes_by_name () =
         {
           closes = sum (fun c -> c.c_count) cells;
           wall_ns = sum (fun c -> c.c_wall_ns) cells;
-          max_ns = List.fold_left (fun a c -> max a c.c_max_ns) 0 cells;
-          minor_words = sumf (fun c -> c.c_minor) cells;
-          major_words = sumf (fun c -> c.c_major) cells;
+          max_ns = List.fold_left (fun a c -> max a (Histogram.max_value c.c_hist)) 0 cells;
+          minor_words = float_of_int (sum (fun c -> c.c_minor) cells);
+          major_words = float_of_int (sum (fun c -> c.c_major) cells);
           durations = Histogram.merge (List.map (fun c -> c.c_hist) cells);
         } ))
     (grouped last_segment)
@@ -295,89 +326,140 @@ let write_folded path =
   dump Wall_ns path;
   dump Minor_words (alloc_path path)
 
-(* --- offline reconstruction from recorded span events --- *)
+(* --- span.rollup events: drained deltas, and the readers' fold --- *)
 
-type node = {
-  n_name : string;
-  n_start : float;
-  n_ns : int;
-  n_minor : float;
-  mutable n_children : node list;
+type window = {
+  mutable w_count : int;
+  mutable w_self_ns : int;
+  mutable w_self_minor : int;
+  mutable w_wall_ns : int;
+  mutable w_max_ns : int;
+  mutable w_minor : int;
+  mutable w_major : int;
+  w_buckets : int array;
 }
 
-(* Rebuild the span tree of one domain from its close events (already
-   in close order: a parent's event always follows its children's).
-   Classic folded-stack reconstruction: when a close arrives, every
-   pending subtree that STARTED after it is one of its children. *)
-let tree_of_closes closes =
-  let pending = ref [] in
-  let roots = ref [] in
-  List.iter
-    (fun (name, start, ns, minor) ->
-      let node =
-        { n_name = name; n_start = start; n_ns = ns; n_minor = minor; n_children = [] }
+let rollup_fields path w =
+  let buckets = ref [] in
+  for i = Array.length w.w_buckets - 1 downto 0 do
+    if w.w_buckets.(i) > 0 then
+      buckets := Json.List [ Json.Int i; Json.Int w.w_buckets.(i) ] :: !buckets
+  done;
+  [
+    ("path", Json.Str path);
+    ("count", Json.Int w.w_count);
+    ("self_ns", Json.Int w.w_self_ns);
+    ("self_minor_w", Json.Int w.w_self_minor);
+    ("wall_ns", Json.Int w.w_wall_ns);
+    ("max_ns", Json.Int w.w_max_ns);
+    ("minor_w", Json.Int w.w_minor);
+    ("major_w", Json.Int w.w_major);
+    ("buckets", Json.List !buckets);
+  ]
+
+(* Every cell that booked a close since the last drain yields its
+   deltas, merged by path across shards; the cell then remembers what
+   it reported.  Counts, words and times are sums over the window and
+   max_ns is the window's max, so any sequence of drains adds back up
+   to the table. *)
+let drain_rollups () =
+  let acc : (string, window) Hashtbl.t = Hashtbl.create 16 in
+  Array.iter
+    (fun sh ->
+      Mutex.protect sh.mu (fun () ->
+          Hashtbl.iter
+            (fun path c ->
+              let r = c.c_reported in
+              if c.c_count > r.r_count then begin
+                let buckets = Histogram.bucket_counts c.c_hist in
+                let w =
+                  match Hashtbl.find_opt acc path with
+                  | Some w -> w
+                  | None ->
+                      let w =
+                        {
+                          w_count = 0;
+                          w_self_ns = 0;
+                          w_self_minor = 0;
+                          w_wall_ns = 0;
+                          w_max_ns = 0;
+                          w_minor = 0;
+                          w_major = 0;
+                          w_buckets = Array.make (Array.length buckets) 0;
+                        }
+                      in
+                      Hashtbl.add acc path w;
+                      w
+                in
+                w.w_count <- w.w_count + c.c_count - r.r_count;
+                w.w_self_ns <- w.w_self_ns + c.c_self_ns - r.r_self_ns;
+                w.w_self_minor <- w.w_self_minor + c.c_self_minor - r.r_self_minor;
+                w.w_wall_ns <- w.w_wall_ns + c.c_wall_ns - r.r_wall_ns;
+                w.w_max_ns <- max w.w_max_ns c.c_win_max;
+                w.w_minor <- w.w_minor + c.c_minor - r.r_minor;
+                w.w_major <- w.w_major + c.c_major - r.r_major;
+                Array.iteri
+                  (fun i b ->
+                    let before =
+                      if i < Array.length r.r_buckets then r.r_buckets.(i) else 0
+                    in
+                    w.w_buckets.(i) <- w.w_buckets.(i) + b - before)
+                  buckets;
+                c.c_reported <-
+                  {
+                    r_count = c.c_count;
+                    r_self_ns = c.c_self_ns;
+                    r_self_minor = c.c_self_minor;
+                    r_wall_ns = c.c_wall_ns;
+                    r_minor = c.c_minor;
+                    r_major = c.c_major;
+                    r_buckets = buckets;
+                  };
+                c.c_win_max <- 0
+              end)
+            sh.tbl))
+    table;
+  List.map (fun (path, w) -> rollup_fields path w) (sorted_bindings acc)
+
+let read_rollup j =
+  match (Json.str_field "event" j, Json.str_field "path" j) with
+  | Some "span.rollup", Some path ->
+      let int k = Option.value ~default:0 (Json.int_field k j) in
+      let words k = float_of_int (int k) in
+      let counts =
+        match Json.member "buckets" j with
+        | Some (Json.List l) ->
+            List.filter_map
+              (function
+                | Json.List [ Json.Int i; Json.Int c ] -> Some (i, c) | _ -> None)
+              l
+        | _ -> []
       in
-      let rec claim = function
-        | top :: rest when top.n_start >= start ->
-            node.n_children <- top :: node.n_children;
-            claim rest
-        | rest -> rest
-      in
-      pending := node :: claim !pending)
-    closes;
-  (* anything still pending is a top-level span *)
-  roots := List.rev !pending;
-  !roots
+      Some
+        ( path,
+          { count = int "count"; self_ns = int "self_ns"; self_minor_words = words "self_minor_w" },
+          {
+            closes = int "count";
+            wall_ns = int "wall_ns";
+            max_ns = int "max_ns";
+            minor_words = words "minor_w";
+            major_words = words "major_w";
+            durations =
+              Histogram.of_buckets counts ~total:(int "wall_ns")
+                ~max_value:(int "max_ns");
+          } )
+  | _ -> None
 
 let of_events events =
-  let by_dom : (int, (string * float * int * float) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  let dom_order = ref [] in
+  let acc : (string, stat) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun j ->
-      match Json.member "event" j with
-      | Some (Json.Str "span") -> (
-          match (Json.member "name" j, Json.num_field "dur_us" j) with
-          | Some (Json.Str name), Some dur_us ->
-              let ts = Option.value ~default:0. (Json.num_field "ts_us" j) in
-              (* recordings made by this library carry the span's own
-                 start stamp; older ones fall back to close - duration *)
-              let start =
-                Option.value ~default:(ts -. dur_us) (Json.num_field "t0_us" j)
-              in
-              let ns = int_of_float (Float.round (dur_us *. 1e3)) in
-              let minor = Option.value ~default:0. (Json.num_field "minor_w" j) in
-              let dom = Option.value ~default:0 (Json.int_field "dom" j) in
-              let bucket =
-                match Hashtbl.find_opt by_dom dom with
-                | Some l -> l
-                | None ->
-                    let l = ref [] in
-                    Hashtbl.add by_dom dom l;
-                    dom_order := dom :: !dom_order;
-                    l
-              in
-              bucket := (name, start, ns, minor) :: !bucket
-          | _ -> ())
-      | _ -> ())
+      match read_rollup j with
+      | Some (path, s, _) ->
+          bump acc path ~count:s.count ~self_ns:s.self_ns
+            ~self_minor:s.self_minor_words
+      | None -> ())
     events;
-  let acc : (string, stat) Hashtbl.t = Hashtbl.create 64 in
-  let rec walk prefix node =
-    let path = if prefix = "" then node.n_name else prefix ^ ";" ^ node.n_name in
-    let child_ns = List.fold_left (fun a c -> a + c.n_ns) 0 node.n_children in
-    let child_minor =
-      List.fold_left (fun a c -> a +. c.n_minor) 0. node.n_children
-    in
-    bump acc path ~count:1 ~self_ns:(node.n_ns - child_ns)
-      ~self_minor:(node.n_minor -. child_minor);
-    List.iter (walk path) node.n_children
-  in
-  List.iter
-    (fun dom ->
-      let closes = List.rev !(Hashtbl.find by_dom dom) in
-      List.iter (walk "") (tree_of_closes closes))
-    (List.rev !dom_order);
   sorted_bindings acc
 
 (* top self-time paths, for Stats.print and report --summarize *)

@@ -15,7 +15,8 @@
     the closes' inclusive wall time (total and max), minor and major
     words, and a log-bucket {!Histogram} of durations; {!Span.snapshot}
     is the per-name rollup of those cells ({!closes_by_name}).  Every
-    span close is booked once, here.
+    span close is booked once, here, and reaches a report only as part
+    of a [span.rollup] delta (below).
 
     Accumulation is sharded per domain ({!Metrics}-style 8-way
     [Domain.self] indexing) and the stacks live in domain-local
@@ -48,8 +49,7 @@ val enter : string -> token
     path is [<parent path>;name] ([name] alone at depth 0, or
     [<base>;name] under {!with_root}). *)
 
-val close :
-  token -> wall_ns:int -> minor_words:float -> major_words:float -> unit
+val close : token -> wall_ns:int -> minor_words:int -> major_words:int -> unit
 (** Record the close at the frame's path — its self values ([wall_ns]
     minus accumulated child wall; likewise minor words) and its
     inclusive [wall_ns] (into the total, max and latency histogram),
@@ -85,6 +85,9 @@ type closes = {
   durations : Histogram.t;  (** one sample per close, in ns *)
 }
 
+val last_segment : string -> string
+(** The span name a path ends in: ["a;b;c"] → ["c"]. *)
+
 val closes_by_name : unit -> (string * closes) list
 (** The path table rolled up by each path's last segment (the span
     name), merged across shards and sorted by name: counts, totals and
@@ -115,14 +118,45 @@ val write_folded : string -> unit
     through {!Atomic_io} (a crash mid-write leaves no torn [.folded]).
     Fault probe: [profile.export]. *)
 
+(** {1 [span.rollup] events}
+
+    Span closes emit nothing.  Each path cell remembers what it last
+    reported, and {!Sink} drains the difference — one [span.rollup]
+    event per path that booked a close since the previous drain —
+    immediately before it writes a milestone event ([run.summary],
+    [progress.heartbeat], [dynamics.*]) and whenever it flushes:
+
+    {v {"event":"span.rollup","ts_us":_,"path":"a;b","count":_,
+    "self_ns":_,"self_minor_w":_,"wall_ns":_,"max_ns":_,"minor_w":_,
+    "major_w":_,"buckets":[[i,c],...]} v}
+
+    Every field is a sum over the window since the previous drain,
+    except [max_ns], the window's largest close.  [buckets] lists the
+    occupied log2 duration buckets (ns, {!Histogram.bucket_bounds}) as
+    [[index, count]] pairs.  Paths merge across the domain shards.  A
+    reader therefore folds rollups by adding (and taking the max of
+    [max_ns]), so a [.partial] prefix, a resumed run or two
+    concatenated recordings all fold correctly.  A report's size is
+    O(paths × milestones), not O(closes). *)
+
+val drain_rollups : unit -> (string * Json.t) list list
+(** The pending deltas, one field list per changed path (sorted by
+    path, without ["event"] and ["ts_us"], which {!Sink} adds), and
+    mark them reported.  Only {!Sink} calls this; [Profile] does not
+    depend on [Sink]. *)
+
+val read_rollup : Json.t -> (string * stat * closes) option
+(** A [span.rollup] event read back: its path, the self values it
+    adds at that path, and the inclusive closes it adds (the duration
+    histogram rebuilt from its buckets with {!Histogram.of_buckets}).
+    [None] for any other event. *)
+
 val of_events : Json.t list -> (string * stat) list
-(** Offline reconstruction from recorded ["span"] events (a
-    [--report] file read by {!Trace_export.read_events}): close events
-    are grouped per domain and re-nested by start/duration containment
-    — events from this library carry an exact [t0_us] stamp; older
-    recordings fall back to [ts_us - dur_us].  Returns the same shape
-    as {!snapshot}, so a recorded run flames identically to a live
-    [--profile] one. *)
+(** Fold the [span.rollup] events of a recording (a [--report] file
+    read by {!Trace_export.read_events}) by path.  Returns the same
+    shape as {!snapshot}; a recording whose last drain followed its
+    last close folds to exactly the live {!snapshot}, so [bbng_cli
+    flame] of a report equals the run's [--profile] output. *)
 
 val top : ?limit:int -> (string * stat) list -> (string * stat) list
 (** The [limit] (default 10) hottest paths by self-time, descending. *)

@@ -28,9 +28,6 @@ type run = {
   run_outcome : outcome option;
 }
 
-let event_name j =
-  match Json.member "event" j with Some (Json.Str s) -> s | _ -> "?"
-
 (* Fields the parser consumes by name; anything else in a
    dynamics.start event is preserved as run metadata (the recorder's
    ?meta fields — seed and friends — travel there). *)
@@ -119,7 +116,7 @@ let runs_of_events events =
   in
   List.iter
     (fun j ->
-      match event_name j with
+      match Trace_export.event_name j with
       | "dynamics.start" ->
           close ();
           current := Some (start_run j)

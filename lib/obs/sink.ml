@@ -8,45 +8,12 @@ let out_mutex = Mutex.create ()
 
 let normalize = List.filter (fun s -> s <> Null)
 
-(* A closed report channel (the CLI closes it in its own at_exit) must
-   not make the process-exit flush raise. *)
-let flush_sink = function
-  | Null | Stderr_pretty -> ()
-  | Jsonl oc -> ( try flush oc with Sys_error _ -> ())
-
-let flush_all () =
-  Mutex.protect out_mutex (fun () -> List.iter flush_sink (Atomic.get sinks))
-
-(* Uninstalling a JSONL sink flushes it first, so the channel holds a
-   complete line-delimited prefix the moment it leaves the sink list. *)
-let set s =
-  flush_all ();
-  Atomic.set sinks (normalize [ s ])
-
-let add s = Atomic.set sinks (normalize (s :: Atomic.get sinks))
-let installed () = Atomic.get sinks
-let active () = Atomic.get sinks <> []
-
-let scoped s f =
-  let previous = Atomic.get sinks in
-  Atomic.set sinks (normalize (s :: previous));
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect out_mutex (fun () -> flush_sink s);
-      Atomic.set sinks previous)
-    f
-
-(* Interrupted runs: whatever already reached the channel buffers is
-   drained at process exit, so a crashed --report run still leaves a
-   valid JSONL prefix. *)
-let () = at_exit flush_all
-
 (* event timestamps are microseconds since this module initialized, so
-   every sink (and every span event) shares one clock origin *)
+   every sink (and every span.rollup) shares one clock origin *)
 let t0 = Unix.gettimeofday ()
 let now_us () = (Unix.gettimeofday () -. t0) *. 1e6
-let to_us t = (t -. t0) *. 1e6
 
+(* The pretty sink and the JSONL rendering, one event to one sink. *)
 let pretty_field buf (k, v) =
   Buffer.add_char buf ' ';
   Buffer.add_string buf k;
@@ -61,14 +28,15 @@ let pretty_field buf (k, v) =
    durability per step is what makes a SIGKILLed --report run leave
    every applied move in the .partial prefix (the crash-safety
    contract bin/fault_smoke.sh checks).  High-rate non-dynamics events
-   stay buffered for throughput. *)
+   stay buffered for throughput.  Runs on every emit, so it allocates
+   nothing. *)
 let is_milestone name =
   name = "run.summary"
   || name = "progress.heartbeat"
      (* heartbeats exist to be tailed live (bbng_cli top) and to date a
         SIGKILLed run's .partial: both need the line on disk the moment
         it is emitted, and the ticker already rate-limits them *)
-  || String.length name >= 9 && String.sub name 0 9 = "dynamics."
+  || String.starts_with ~prefix:"dynamics." name
 
 let deliver sink name fields =
   match sink with
@@ -93,6 +61,60 @@ let deliver sink name fields =
       output_char oc '\n';
       if is_milestone name then flush oc
 
+(* Span closes emit nothing themselves: the call-path table's pending
+   deltas go out as one span.rollup event per changed path, here,
+   under the output mutex, before every milestone and on every flush.
+   Nothing is drained while spans are off or no sink would see it. *)
+let drain_spans ~ts installed =
+  if installed <> [] && Profile.enabled () then
+    match Profile.drain_rollups () with
+    | [] -> ()
+    | rollups ->
+        let ts = ("ts_us", Json.Float ts) in
+        List.iter
+          (fun fields ->
+            List.iter (fun s -> deliver s "span.rollup" (ts :: fields)) installed)
+          rollups
+
+(* A closed report channel (the CLI closes it in its own at_exit) must
+   not make the process-exit flush raise. *)
+let flush_sink = function
+  | Null | Stderr_pretty -> ()
+  | Jsonl oc -> ( try flush oc with Sys_error _ -> ())
+
+let flush_locked installed =
+  (try drain_spans ~ts:(now_us ()) installed with Sys_error _ -> ());
+  List.iter flush_sink installed
+
+let flush_all () =
+  Mutex.protect out_mutex (fun () -> flush_locked (Atomic.get sinks))
+
+(* Uninstalling a JSONL sink flushes it first, so the channel holds a
+   complete line-delimited prefix the moment it leaves the sink list. *)
+let set s =
+  flush_all ();
+  Atomic.set sinks (normalize [ s ])
+
+let add s = Atomic.set sinks (normalize (s :: Atomic.get sinks))
+let installed () = Atomic.get sinks
+let active () = Atomic.get sinks <> []
+
+let scoped s f =
+  let previous = Atomic.get sinks in
+  Atomic.set sinks (normalize (s :: previous));
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect out_mutex (fun () ->
+          (* the scope's last window reaches it before it leaves *)
+          flush_locked (Atomic.get sinks));
+      Atomic.set sinks previous)
+    f
+
+(* Interrupted runs: whatever already reached the channel buffers is
+   drained at process exit, so a crashed --report run still leaves a
+   valid JSONL prefix. *)
+let () = at_exit flush_all
+
 let emit name fields =
   match Atomic.get sinks with
   | [] -> ()
@@ -101,6 +123,9 @@ let emit name fields =
          crash a run at a chosen event — e.g. mid-flight-recording —
          and then assert the artifact is still a valid prefix *)
       if Fault.armed () then Fault.hit ("sink." ^ name);
-      let fields = ("ts_us", Json.Float (now_us ())) :: fields in
+      let ts = now_us () in
+      let fields = ("ts_us", Json.Float ts) :: fields in
       Mutex.protect out_mutex (fun () ->
+          (* the rollups share the milestone's stamp *)
+          if is_milestone name then drain_spans ~ts installed;
           List.iter (fun s -> deliver s name fields) installed)

@@ -18,6 +18,15 @@
       an interrupted or even SIGKILLed [--report] run leaves a
       parseable prefix holding every applied step.
 
+    Span closes are not events.  While spans are enabled, the sink
+    drains {!Profile}'s pending per-path deltas as one [span.rollup]
+    event per changed path (schema in {!Profile}), under its output
+    mutex, immediately before it writes each milestone event and
+    whenever it flushes ({!flush_all}, {!set}, {!scoped} exit).  A
+    report therefore holds O(paths) lines per milestone however many
+    spans closed, and a [.partial] prefix holds every close up to its
+    last milestone.
+
     Several sinks can be active at once ([--trace --report f.jsonl]
     installs both), and they all see the same events — that is what
     keeps the human trace and the machine report in agreement. *)
@@ -38,12 +47,14 @@ val add : t -> unit
 val scoped : t -> (unit -> 'a) -> 'a
 (** [scoped s f] installs [s] alongside the current sinks for the
     duration of [f] and restores the previous sink list afterwards
-    (flushing [s] on the way out, even on raise).  This is how the
+    (draining pending span rollups and flushing on the way out, even
+    on raise).  This is how the
     experiment harness records one dynamics run into one artifact file
     without disturbing a surrounding [--report] stream. *)
 
 val flush_all : unit -> unit
-(** Flush every installed JSONL sink.  Also installed as an [at_exit]
+(** Drain pending span rollups into the installed sinks, then flush
+    every installed JSONL sink.  Also installed as an [at_exit]
     hook, so buffered report lines survive normal process exit; a sink
     whose channel was already closed is skipped silently. *)
 
@@ -58,14 +69,10 @@ val now_us : unit -> float
     origin every emitted [ts_us] field shares, so a report's timestamps
     are mutually comparable (and convertible to Chrome trace time). *)
 
-val to_us : float -> float
-(** Convert a [Unix.gettimeofday] reading onto the {!now_us} clock —
-    how {!Span} stamps a span's exact start ([t0_us]) on the same
-    origin as the close event's [ts_us]. *)
-
 val emit : string -> (string * Json.t) list -> unit
 (** [emit name fields] stamps the event with [ts_us] ({!now_us} at call
-    time) and delivers it to every installed sink.  The JSONL rendering
+    time) and delivers it to every installed sink, after draining
+    pending span rollups if [name] is a milestone.  The JSONL rendering
     is [{"event": name, "ts_us": _, ...fields}]; the pretty sink renders
     the timestamp as a [+12.345ms] prefix instead of a field.  Output is
     mutex-serialized: concurrent emitters never interleave bytes

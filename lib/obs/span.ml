@@ -10,9 +10,9 @@ type stat = {
 }
 
 type open_span = {
-  name : string;
   t0 : float;
-  gc0 : Gcstats.snapshot;
+  minor0 : int;
+  major0 : int;
   ptok : Profile.token;
   mutable closed : bool;
 }
@@ -24,46 +24,46 @@ type handle = Disabled | Open of open_span
 let enabled = Profile.enabled
 let set_enabled = Profile.set_enabled
 
+(* The calling domain's own allocation counters.  Gc.quick_stat would
+   walk every domain (about a microsecond) and charge other domains'
+   major allocation to this span; Gc.counters reads this domain only,
+   and Gc.minor_words is the precise unboxed minor counter. *)
+let minor_words () = int_of_float (Gc.minor_words ())
+
+let major_words () =
+  let _, _, major = Gc.counters () in
+  int_of_float major
+
 (* span entry doubles as a fault probe point ("span.<name>"): one
    atomic load when nothing is armed *)
 let enter name =
   if Fault.armed () then Fault.hit ("span." ^ name);
   if not (enabled ()) then Disabled
   else
+    (* before the minor read: Gc.counters' own result is then not
+       charged to this span *)
+    let major0 = major_words () in
     Open
       {
-        name;
         t0 = Unix.gettimeofday ();
-        gc0 = Gcstats.capture ();
+        minor0 = minor_words ();
+        major0;
         ptok = Profile.enter name;
         closed = false;
       }
 
+(* a close emits nothing: it books into Profile's table, and Sink
+   drains that table as span.rollup events at its milestones *)
 let exit = function
   | Disabled -> ()
   | Open span ->
       if not span.closed then begin
         span.closed <- true;
+        let minor = minor_words () - span.minor0 in
+        let major = major_words () - span.major0 in
         let ns = int_of_float ((Unix.gettimeofday () -. span.t0) *. 1e9) in
-        let ns = max 0 ns in
-        let d = Gcstats.since span.gc0 in
-        Profile.close span.ptok ~wall_ns:ns ~minor_words:d.Gcstats.minor_words
-          ~major_words:d.Gcstats.major_words;
-        (* a sinked run also sees each span close as an event, which is
-           what Trace_export turns into Chrome complete slices.  t0_us
-           is the span's exact start on the shared event clock (ts_us
-           lags the close by the emit path, so ts - dur cannot recover
-           it); dom and minor_w let `bbng_cli flame` re-nest per-domain
-           stacks and attribute allocation offline. *)
-        if Sink.active () then
-          Sink.emit "span"
-            [
-              ("name", Json.Str span.name);
-              ("dur_us", Json.Float (float_of_int ns /. 1e3));
-              ("t0_us", Json.Float (Sink.to_us span.t0));
-              ("dom", Json.Int (Domain.self () :> int));
-              ("minor_w", Json.Float d.Gcstats.minor_words);
-            ]
+        Profile.close span.ptok ~wall_ns:(max 0 ns) ~minor_words:minor
+          ~major_words:major
       end
 
 let with_ name f =
@@ -73,7 +73,14 @@ let with_ name f =
   end
   else begin
     let h = enter name in
-    Fun.protect ~finally:(fun () -> exit h) f
+    match f () with
+    | v ->
+        exit h;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        exit h;
+        Printexc.raise_with_backtrace e bt
   end
 
 let snapshot () =

@@ -3,8 +3,12 @@
     Every span close is booked once, in {!Profile}'s per-call-path
     table, and {!snapshot} rolls that table up by span name: count,
     total and maximum duration, p50/p90/p99 from the merged log-bucket
-    latency {!Histogram}s, and the {!Gcstats} minor/major-word
-    allocation attributed to the span's scope.  Nesting is free-form —
+    latency {!Histogram}s, and the minor/major words allocated inside
+    the span's scope.  Allocation is read from the closing domain's
+    own counters ([Gc.minor_words], and [Gc.counters] for major
+    words), so a span is never charged for other domains' allocation,
+    and reading them costs tens of nanoseconds, not a [Gc.quick_stat]
+    walk over every domain.  Nesting is free-form —
     an inner span's time (and allocation) is also counted inside every
     enclosing span (the per-name stats are inclusive durations, not an
     exclusive-time tree; {!Profile} has the self-time view).
@@ -15,12 +19,13 @@
     style entry points call {!set_enabled}[ true]; timed sections must
     not change behavior either way.
 
-    While a sink is active, every span close also {!Sink.emit}s a
-    ["span"] event carrying [name], [dur_us], the exact start stamp
-    [t0_us] (on the same {!Sink.now_us} clock as [ts_us]), the closing
-    domain [dom] and the minor-word delta [minor_w] — what
-    {!Trace_export} turns into Chrome trace complete slices and
-    {!Profile.of_events} re-nests into offline folded stacks.
+    A close emits no event.  While a sink is active, {!Sink} drains
+    the table's pending per-path deltas as [span.rollup] events
+    (schema in {!Profile}) immediately before each milestone event and
+    on each flush; {!Profile.of_events} folds them back into the live
+    table for [bbng_cli flame] and [report --summarize], and
+    {!Live_view} rebuilds each name's latency histogram from their
+    buckets for [bbng_cli top].
 
     Every enter/exit pair drives {!Profile}: the profiler keeps a
     per-domain stack of open spans and attributes self-time and

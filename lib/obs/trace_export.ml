@@ -23,15 +23,17 @@ let ts_us j = Json.num_field "ts_us" j
 
 (* --- Chrome trace-event conversion --- *)
 
-let common ?(tid = 1) ~name ~ph ~ts ~dur rest =
+(* every record is a point in time: instants, counter samples and the
+   process-name metadata *)
+let common ~name ~ph ~ts rest =
   Json.Obj
     ([
        ("name", Json.Str name);
        ("ph", Json.Str ph);
        ("ts", Json.Float ts);
-       ("dur", Json.Float dur);
+       ("dur", Json.Float 0.);
        ("pid", Json.Int 1);
-       ("tid", Json.Int tid);
+       ("tid", Json.Int 1);
      ]
     @ rest)
 
@@ -40,63 +42,44 @@ let args_of j =
   | Json.Obj fields ->
       Json.Obj
         (List.filter
-           (fun (k, _) -> k <> "event" && k <> "ts_us" && k <> "dur_us")
+           (fun (k, _) -> k <> "event" && k <> "ts_us")
            fields)
   | _ -> Json.Obj []
 
 let convert_event j =
   let ts = Option.value (ts_us j) ~default:0. in
-  match event_name j with
-  | "span" ->
-      (* the event is stamped at close; the exact start stamp t0_us is
-         preferred (ts - dur only approximates it by the emit lag), and
-         the recording domain becomes the Chrome thread lane *)
-      let dur = Option.value (Json.num_field "dur_us" j) ~default:0. in
-      let name =
-        match Json.member "name" j with Some (Json.Str s) -> s | _ -> "span"
-      in
-      let start =
-        match Json.num_field "t0_us" j with
-        | Some t0 -> t0
-        | None -> Float.max 0. (ts -. dur)
-      in
-      let tid =
-        match Json.member "dom" j with Some (Json.Int d) -> d + 1 | _ -> 1
-      in
-      [ common ~tid ~name ~ph:"X" ~ts:start ~dur [ ("args", args_of j) ] ]
-  | name ->
-      let instant =
-        common ~name ~ph:"i" ~ts ~dur:0.
-          [ ("s", Json.Str "g"); ("args", args_of j) ]
-      in
-      (* dynamics steps additionally feed a Chrome counter track, so the
-         social-cost trajectory draws itself in the trace viewer; and
-         heartbeats feed a per-task work-done track, so a long run's
-         progress curve sits next to its spans *)
-      let extra =
-        match (name, Json.member "social_cost" j, Json.member "done" j) with
-        | "dynamics.step", Some v, _ ->
-            [
-              common ~name:"social_cost" ~ph:"C" ~ts ~dur:0.
-                [ ("args", Json.Obj [ ("social_cost", v) ]) ];
-            ]
-        | "progress.heartbeat", _, Some v ->
-            let track =
-              match Json.str_field "task" j with
-              | Some task -> "work_done:" ^ task
-              | None -> "work_done"
-            in
-            [
-              common ~name:track ~ph:"C" ~ts ~dur:0.
-                [ ("args", Json.Obj [ ("done", v) ]) ];
-            ]
-        | _ -> []
-      in
-      instant :: extra
+  let name = event_name j in
+  let instant =
+    common ~name ~ph:"i" ~ts [ ("s", Json.Str "g"); ("args", args_of j) ]
+  in
+  (* dynamics steps additionally feed a Chrome counter track, so the
+     social-cost trajectory draws itself in the trace viewer; and
+     heartbeats feed a per-task work-done track, so a long run's
+     progress curve sits next to its span rollups *)
+  let extra =
+    match (name, Json.member "social_cost" j, Json.member "done" j) with
+    | "dynamics.step", Some v, _ ->
+        [
+          common ~name:"social_cost" ~ph:"C" ~ts
+            [ ("args", Json.Obj [ ("social_cost", v) ]) ];
+        ]
+    | "progress.heartbeat", _, Some v ->
+        let track =
+          match Json.str_field "task" j with
+          | Some task -> "work_done:" ^ task
+          | None -> "work_done"
+        in
+        [
+          common ~name:track ~ph:"C" ~ts
+            [ ("args", Json.Obj [ ("done", v) ]) ];
+        ]
+    | _ -> []
+  in
+  instant :: extra
 
 let to_chrome events =
   let meta =
-    common ~name:"process_name" ~ph:"M" ~ts:0. ~dur:0.
+    common ~name:"process_name" ~ph:"M" ~ts:0.
       [ ("args", Json.Obj [ ("name", Json.Str "bbng") ]) ]
   in
   Json.Obj
@@ -284,7 +267,7 @@ let summarize events oc =
           (Option.value ~default:0. (ts_us j) /. 1e3))
       (List.rev !order)
   end;
-  (* call-path attribution reconstructed from the recorded span events
+  (* call-path attribution folded from the recorded span.rollup events
      — the same folded stacks `bbng_cli flame` emits, top-10 by
      self-time so the hot path is visible without leaving the pager *)
   let hot = Profile.top (Profile.of_events events) in

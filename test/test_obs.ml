@@ -494,7 +494,11 @@ let test_span_quantiles_and_gc () =
       check_true "quantiles positive" (s.Span.p50_ns > 0.);
       check_true "allocation attributed to span" (s.Span.minor_words > 0.))
 
-let test_span_emits_event_when_sinked () =
+(* A span close writes nothing: the call-path table's deltas reach
+   the report as one span.rollup per path, drained just before the next
+   milestone event, and a second milestone with no close in between
+   drains nothing. *)
+let test_span_rolls_up_at_milestones () =
   let file = Filename.temp_file "bbng_obs" ".jsonl" in
   let oc = open_out file in
   with_spans (fun () ->
@@ -506,7 +510,12 @@ let test_span_emits_event_when_sinked () =
           close_out_noerr oc;
           Sys.remove file)
         (fun () ->
-          Span.with_ "test.span.event" (fun () -> Unix.sleepf 0.001);
+          for _ = 1 to 3 do
+            Span.with_ "test.span.event" (fun () -> Unix.sleepf 0.001)
+          done;
+          Sink.emit "test.not_a_milestone" [];
+          Sink.emit "progress.heartbeat" [];
+          Sink.emit "progress.heartbeat" [];
           Sink.set Sink.Null;
           close_out oc;
           let ic = open_in file in
@@ -515,21 +524,40 @@ let test_span_emits_event_when_sinked () =
                 Trace_export.read_events ic)
           in
           check_int "no skipped lines" 0 skipped;
-          match
-            List.find_opt
-              (fun j ->
-                Json.member "event" j = Some (Json.Str "span")
-                && Json.member "name" j = Some (Json.Str "test.span.event"))
-              events
-          with
-          | None -> Alcotest.fail "span close did not emit an event"
-          | Some j -> (
-              check_true "event is timestamped"
-                (Json.member "ts_us" j <> None);
-              match Json.member "dur_us" j with
-              | Some (Json.Float d) ->
-                  check_true "duration covers the sleep" (d >= 500.)
-              | _ -> Alcotest.fail "span event without dur_us")))
+          Alcotest.(check (list string))
+            "closes are silent; one rollup lands before the milestone"
+            [ "test.not_a_milestone"; "span.rollup"; "progress.heartbeat";
+              "progress.heartbeat" ]
+            (List.map Trace_export.event_name events);
+          let rollup = List.nth events 1 in
+          check_true "rollup is timestamped" (Json.member "ts_us" rollup <> None);
+          check_true "rollup names the path"
+            (Json.str_field "path" rollup = Some "test.span.event");
+          check_int "rollup counts every close" 3
+            (Option.value ~default:0 (Json.int_field "count" rollup));
+          let wall = Option.value ~default:0 (Json.int_field "wall_ns" rollup) in
+          let max_ns = Option.value ~default:0 (Json.int_field "max_ns" rollup) in
+          check_true "wall covers the sleeps" (wall >= 3_000_000);
+          check_true "max is one close's" (max_ns >= 1_000_000 && max_ns <= wall)))
+
+(* Major words are the closing domain's own: a span that joins a worker
+   domain allocating 2M words straight into the major heap is not
+   charged for them, while its own major allocation is counted. *)
+let test_span_major_words_per_domain () =
+  with_spans (fun () ->
+      Span.reset_all ();
+      Span.with_ "test.span.joins_worker" (fun () ->
+          Domain.join
+            (Domain.spawn (fun () ->
+                 ignore (Sys.opaque_identity (Array.make 2_000_000 0)))));
+      Span.with_ "test.span.own_major" (fun () ->
+          ignore (Sys.opaque_identity (Array.make 100_000 0)));
+      let joined = (span_stat "test.span.joins_worker").Span.major_words in
+      let own = (span_stat "test.span.own_major").Span.major_words in
+      if joined >= 10_000. then
+        Alcotest.failf "worker's allocation charged to the span: %.0f words" joined;
+      if own < 100_001. then
+        Alcotest.failf "span's own major allocation missed: %.0f words" own)
 
 (* --- chrome trace export --- *)
 
@@ -540,9 +568,9 @@ let test_trace_export_chrome () =
   let events =
     [
       mk "dynamics.start" [ ("players", Json.Int 4) ];
-      mk "span"
-        [ ("name", Json.Str "equilibrium.certify_player");
-          ("dur_us", Json.Float 40.) ];
+      mk "span.rollup"
+        [ ("path", Json.Str "equilibrium.certify;equilibrium.certify_player");
+          ("count", Json.Int 7); ("wall_ns", Json.Int 40_000) ];
       mk "dynamics.step"
         [ ("step", Json.Int 1); ("social_cost", Json.Int 12) ];
       mk "run.summary" [];
@@ -563,28 +591,23 @@ let test_trace_export_chrome () =
           check_true "ts present" (Json.member "ts" r <> None);
           check_true "dur present" (Json.member "dur" r <> None))
         records;
-      let slice =
-        List.find_opt
-          (fun r -> Json.member "ph" r = Some (Json.Str "X"))
-          records
-      in
-      (* %.12g prints whole floats without a decimal point, so a
-         round-tripped 60. comes back as Int 60: compare numerically *)
-      let num field r =
-        match Json.member field r with
-        | Some (Json.Int i) -> Some (float_of_int i)
-        | Some (Json.Float f) -> Some f
-        | _ -> None
-      in
-      (match slice with
+      check_false "no complete slices"
+        (List.exists (fun r -> Json.member "ph" r = Some (Json.Str "X")) records);
+      (match
+         List.find_opt
+           (fun r -> Json.member "name" r = Some (Json.Str "span.rollup"))
+           records
+       with
       | Some r ->
-          check_true "slice keeps the span name"
-            (Json.member "name" r
-            = Some (Json.Str "equilibrium.certify_player"));
-          check_true "slice starts dur before its close stamp"
-            (num "ts" r = Some 60.);
-          check_true "slice duration" (num "dur" r = Some 40.)
-      | None -> Alcotest.fail "span event did not become a complete slice");
+          check_true "a rollup is an instant"
+            (Json.member "ph" r = Some (Json.Str "i"));
+          let args = Option.value ~default:Json.Null (Json.member "args" r) in
+          check_true "its fields ride along as args"
+            (Json.str_field "path" args
+             = Some "equilibrium.certify;equilibrium.certify_player"
+            && Json.int_field "count" args = Some 7
+            && Json.int_field "wall_ns" args = Some 40_000)
+      | None -> Alcotest.fail "span.rollup event did not become a record");
       check_true "dynamics.step also feeds a counter track"
         (List.exists
            (fun r -> Json.member "ph" r = Some (Json.Str "C"))
@@ -711,7 +734,9 @@ let suite =
     case "summarize aggregates dynamics runs" test_summarize_dynamics_section;
     case "sink activity" test_sink_active;
     case "span quantiles and gc attribution" test_span_quantiles_and_gc;
-    case "span emits event when sinked" test_span_emits_event_when_sinked;
+    case "span rolls up at milestones" test_span_rolls_up_at_milestones;
+    case "span major words are the domain's own"
+      test_span_major_words_per_domain;
     case "chrome trace export" test_trace_export_chrome;
     case "trace reader skips garbage lines" test_trace_read_events_skips_garbage;
     case "stats print ordering" test_stats_print_ordering;

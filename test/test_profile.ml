@@ -1,13 +1,13 @@
 (* Call-path attribution (Bbng_obs.Profile) and the Span stats rolled
    up from its sharded path table.
 
-   The load-bearing properties, straight from the ISSUE's acceptance
-   criteria: folded per-name totals equal the flat Span totals exactly
-   (integer telescoping, not approximation); out-of-order and double
-   closes never corrupt a domain's path stack; offline reconstruction
-   from recorded span events matches the live profile; multi-domain
-   span totals equal single-domain totals across the table's shards;
-   and torn .partial recordings still flame. *)
+   The load-bearing properties: folded per-name totals equal the flat
+   Span totals exactly (integer telescoping, not approximation);
+   out-of-order and double closes never corrupt a domain's path stack;
+   the span.rollup events drained into a recording fold back to the
+   live profile exactly (and prefixes and concatenations fold as sums
+   must); multi-domain span totals equal single-domain totals across
+   the table's shards; and torn .partial recordings still flame. *)
 
 open Helpers
 open Bbng_core
@@ -17,6 +17,7 @@ module Sink = Bbng_obs.Sink
 module Json = Bbng_obs.Json
 module Histogram = Bbng_obs.Histogram
 module Trace_export = Bbng_obs.Trace_export
+module Live_view = Bbng_obs.Live_view
 
 (* Every test drives the process-global span/profile state: snapshot
    the enabled flags, start from empty tables, and restore on the way
@@ -169,9 +170,11 @@ let test_double_close_records_once () =
       check_int "one profile record" 1
         (List.assoc "dc" (Profile.snapshot ())).Profile.count)
 
-(* --- offline reconstruction (bbng_cli flame) --- *)
+(* --- offline reconstruction (bbng_cli flame) from span.rollup --- *)
 
-let record_to_events f =
+(* The recording's complete lines, as a JSONL sink scoped around [f]
+   wrote them (the scope's exit drains the last window). *)
+let record_lines f =
   let file = Filename.temp_file "bbng_profile" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
@@ -180,65 +183,63 @@ let record_to_events f =
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> Sink.scoped (Sink.Jsonl oc) f);
-      let ic = open_in file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Trace_export.read_events ic))
+      In_channel.with_open_bin file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> ""))
+
+let events_of lines = List.filter_map Trace_export.event_of_line lines
 
 let test_offline_matches_live () =
   scoped (fun () ->
-      let events, skipped =
-        record_to_events (fun () ->
+      let lines =
+        record_lines (fun () ->
             Span.with_ "fa" (fun () ->
-                tick ();
                 Span.with_ "fb" (fun () -> tick ());
+                Sink.emit "progress.heartbeat" [];
                 Span.with_ "fb" (fun () -> tick ()));
+            Sink.emit "progress.heartbeat" [];
             Span.with_ "fc" (fun () -> tick ()))
       in
-      check_int "clean recording" 0 skipped;
+      let events = events_of lines in
+      check_int "every line is an event" (List.length lines) (List.length events);
+      let names = List.map Trace_export.event_name events in
+      check_false "no per-close span events" (List.mem "span" names);
+      (* fa;fb drains twice (one close per window), fa and fc once *)
+      check_int "one rollup per changed path per drain" 4
+        (List.length (List.filter (( = ) "span.rollup") names));
       let live = Profile.snapshot () in
       let offline = Profile.of_events events in
-      check_int "same path set" (List.length live) (List.length offline);
-      List.iter
-        (fun (path, (l : Profile.stat)) ->
-          match List.assoc_opt path offline with
-          | None -> Alcotest.failf "path %S lost offline" path
-          | Some (o : Profile.stat) ->
-              check_int (path ^ ": count") l.Profile.count o.Profile.count;
-              check_int (path ^ ": self-ns round-trips exactly")
-                l.Profile.self_ns o.Profile.self_ns;
-              if
-                Float.abs (l.Profile.self_minor_words -. o.Profile.self_minor_words)
-                > 1e-6 *. (1. +. Float.abs l.Profile.self_minor_words)
-              then Alcotest.failf "%s: minor words diverge offline" path)
-        live;
-      (* and the folded renderings agree line for line *)
+      check_true "the rollups fold to the live profile exactly" (live = offline);
       Alcotest.(check (list string))
         "folded lines identical"
         (Profile.folded_lines Profile.Wall_ns live)
-        (Profile.folded_lines Profile.Wall_ns offline))
+        (Profile.folded_lines Profile.Wall_ns offline);
+      Alcotest.(check (list string))
+        "allocation flavor identical"
+        (Profile.folded_lines Profile.Minor_words live)
+        (Profile.folded_lines Profile.Minor_words offline))
 
 let test_torn_partial_skips () =
   scoped (fun () ->
-      let events, _ =
-        record_to_events (fun () ->
+      let lines =
+        record_lines (fun () ->
             Span.with_ "torn_a" (fun () ->
                 tick ();
                 Span.with_ "torn_b" (fun () -> tick ())))
       in
-      (* re-serialize, then truncate the last line mid-byte the way a
-         SIGKILL mid-write would *)
+      (* re-serialize, then truncate a last rollup line mid-byte the way
+         a SIGKILL mid-write would *)
       let file = Filename.temp_file "bbng_torn" ".jsonl.partial" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
         (fun () ->
           let oc = open_out file in
           List.iter
-            (fun j ->
-              output_string oc (Json.to_string j);
+            (fun l ->
+              output_string oc l;
               output_char oc '\n')
-            events;
-          output_string oc "{\"event\":\"span\",\"name\":\"torn_c\",\"du";
+            lines;
+          output_string oc "{\"event\":\"span.rollup\",\"path\":\"torn_c\",\"cou";
           close_out oc;
           let ic = open_in file in
           let read, skipped =
@@ -251,11 +252,109 @@ let test_torn_partial_skips () =
           check_true "complete paths survive"
             (List.mem_assoc "torn_a" offline
             && List.mem_assoc "torn_a;torn_b" offline);
-          check_false "torn span does not appear"
-            (List.exists
-               (fun (p, _) ->
-                 String.length p >= 6 && String.sub p 0 6 = "torn_c")
-               offline)))
+          check_false "torn path does not appear"
+            (List.mem_assoc "torn_c" offline)))
+
+(* --- the rollup oracle --- *)
+
+(* One domain's program: open a span, close a random handle opened so
+   far (out of order, or for a second time), or emit a milestone.
+   Every handle still open at the end is closed in opening order, so
+   nested leftovers close outside-in. *)
+let oracle_names = [| "ra"; "rb"; "rc" |]
+
+let run_program ops =
+  let handles = ref [] in
+  List.iter
+    (fun (kind, arg) ->
+      match kind with
+      | 0 | 1 -> handles := !handles @ [ Span.enter oracle_names.(arg mod 3) ]
+      | 2 | 3 -> (
+          match !handles with
+          | [] -> ()
+          | hs -> Span.exit (List.nth hs (arg mod List.length hs)))
+      | _ -> Sink.emit "progress.heartbeat" [])
+    ops;
+  List.iter Span.exit !handles
+
+let program_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (list_size (int_range 0 30) (pair (int_range 0 4) (int_range 0 99))))
+
+let scaled k (s : Profile.stat) =
+  {
+    Profile.count = k * s.Profile.count;
+    self_ns = k * s.Profile.self_ns;
+    self_minor_words = float_of_int k *. s.Profile.self_minor_words;
+  }
+
+let test_rollup_oracle =
+  qcheck ~count:60 "span.rollup recording folds to the live table"
+    (QCheck.make
+       ~print:(fun ps ->
+         String.concat " | "
+           (List.map
+              (fun ops ->
+                String.concat " "
+                  (List.map (fun (k, a) -> Printf.sprintf "%d:%d" k a) ops))
+              ps))
+       program_gen)
+    (fun programs ->
+      scoped (fun () ->
+          let lines =
+            record_lines (fun () ->
+                List.map
+                  (fun ops ->
+                    Domain.spawn (fun () ->
+                        Profile.with_root "oracle" (fun () -> run_program ops)))
+                  programs
+                |> List.iter Domain.join)
+          in
+          let live = Profile.snapshot () in
+          let events = events_of lines in
+          check_true "recording folds to the live snapshot"
+            (Profile.of_events events = live);
+          (* a .partial is a line prefix: it never over-counts *)
+          let _ =
+            List.fold_left
+              (fun prefix line ->
+                let prefix = prefix @ [ line ] in
+                List.iter
+                  (fun (path, (s : Profile.stat)) ->
+                    let l =
+                      match List.assoc_opt path live with
+                      | Some l -> l.Profile.count
+                      | None -> 0
+                    in
+                    if s.Profile.count > l then
+                      Alcotest.failf "prefix over-counts %s: %d > %d" path
+                        s.Profile.count l)
+                  (Profile.of_events (events_of prefix));
+                prefix)
+              [] lines
+          in
+          check_true "a recording concatenated with itself folds to twice live"
+            (Profile.of_events (events @ events)
+            = List.map (fun (p, s) -> (p, scaled 2 s)) live);
+          let view = Live_view.create_state () in
+          List.iter (Live_view.feed_line view) lines;
+          let tailed = Live_view.spans view in
+          let flat = Span.snapshot () in
+          check_int "top sees every span name" (List.length flat)
+            (List.length tailed);
+          List.iter
+            (fun (name, (s : Span.stat)) ->
+              match List.assoc_opt name tailed with
+              | None -> Alcotest.failf "top lost span %s" name
+              | Some h ->
+                  check_int (name ^ ": count") s.Span.count (Histogram.count h);
+                  check_true (name ^ ": p50")
+                    (Histogram.quantile h 0.5 = s.Span.p50_ns);
+                  check_true (name ^ ": p99")
+                    (Histogram.quantile h 0.99 = s.Span.p99_ns))
+            flat;
+          true))
 
 (* --- sharding and parallel root propagation --- *)
 
@@ -335,6 +434,7 @@ let suite =
     case "double close records once" test_double_close_records_once;
     case "offline reconstruction matches live profile" test_offline_matches_live;
     case "torn .partial still flames" test_torn_partial_skips;
+    test_rollup_oracle;
     test_multi_domain_totals;
     case "parallel workers root under caller path" test_worker_paths_rooted;
     case "concurrent recording is lossless" test_concurrent_recording;
