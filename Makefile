@@ -30,7 +30,7 @@ check:
 # bin/check.sh independently re-verifies every one with
 # `bbng_cli verify` / `bbng_cli replay`
 GOLDEN_ARTIFACTS = CERT_sun8_max.json CERT_sun8_swap.json \
-  CERT_tripod2_max.json CERT_refuted_path3_max.json \
+  CERT_tripod2_max.json CERT_refuted_path3_max.json CERT_bintree4_sum.json \
   DYN_rr_best_unit8_max.jsonl DYN_rr_first_swap_n12_sum.jsonl
 artifacts:
 	dune exec bench/main.exe -- artifacts

@@ -36,6 +36,11 @@ let certificates () =
   let sun_game = Game.make Cost.Max (Strategy.budgets sun) in
   emit_cert "sun8_max" (Equilibrium.certify_cert sun_game sun);
   emit_cert "sun8_swap" (Equilibrium.certify_swap_cert sun_game sun);
+  (* Theorem 3.4's tree under SUM: the one golden certificate whose
+     exhaustive tier scans C(n-1, 2) candidates per player *)
+  let tree = Binary_tree.profile ~depth:4 in
+  emit_cert "bintree4_sum"
+    (Equilibrium.certify_cert (Game.make Cost.Sum (Strategy.budgets tree)) tree);
   let tripod = Tripod.profile ~k:2 in
   emit_cert "tripod2_max"
     (Equilibrium.certify_cert

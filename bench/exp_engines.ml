@@ -5,19 +5,30 @@
    pins rows == bfs on random profiles), so the interesting output is
    the wall-clock ratio: the rows engine replaces one BFS per candidate
    strategy with one cached BFS row per candidate *target* plus a
-   per-candidate combine of b+1 rows — the level identity over level
-   bitsets on shallow graphs, an O(b n) min-combine over int rows on
-   deep ones — dropping the scan from O(C(n-1,b) (n+m)) to one BFS per
+   per-candidate combine — on shallow graphs the level identity over
+   two level-bitset rows (a prefix row OR'ing the base with every
+   target but the last, and the last target's row), with candidates
+   that cannot beat the scan's threshold settled from the rows' level
+   sizes or the exact reach; on deep ones an O(b n) min-combine over
+   int rows — dropping the scan from O(C(n-1,b) (n+m)) to one BFS per
    row plus C(n-1,b) combines.  The "rows layout" column names the
    representation the scanned players' contexts chose.
+
+   Every cell is also an oracle check: the overlay engine ignores
+   pricing bounds, so identical moves under both engines pin the
+   bounded kernel, and the run exits non-zero on any disagreement
+   (bin/check.sh runs it).  The binary tree's internal players have
+   disconnected player-deleted graphs, so its cell covers prefixes
+   that reach only part of the graph.
 
    The circulant profiles (i -> {i+1..i+b} mod n) keep the diameter
    well above the Lemma 2.2 threshold, so neither pruning tier fires
    and every cell really prices all C(n-1, b) candidates per player;
    at n = 200 they are the deep side (int rows).  The random b = 2
    profile at n = 200 spans four 62-bit words and is shallow (level
-   bitsets).  The n = 200 cells scan four players, the small ones all
-   of them. *)
+   bitsets), as is the random MAX profile at n = 124 (two full words).
+   The large cells scan four spread players, the tree cell its 31
+   internal players, the small ones all of them. *)
 
 open Bbng_core
 open Exp_common
@@ -60,6 +71,18 @@ let layout_cell version profile players =
   else if !levels = 0 then "ints"
   else Printf.sprintf "mixed %d/%d" !levels !ints
 
+(* the players a cell scans: all of them on small profiles, the tree's
+   internal (budget-2) players, four spread players otherwise *)
+let cell_players family profile =
+  let n = Strategy.n profile in
+  match family with
+  | `Bintree _ ->
+      Array.of_list
+        (List.filter
+           (fun p -> Budget.get (Strategy.budgets profile) p > 0)
+           (List.init n Fun.id))
+  | _ -> if n <= 30 then Array.init n Fun.id else Array.init 4 (fun i -> i * n / 4)
+
 let run () =
   section "ENGINES — overlay-BFS vs distance-row exact deviation pricing";
   let t =
@@ -72,16 +95,16 @@ let run () =
   let headline = ref None in
   let cells =
     List.map
-      (fun (family, version, n, b) ->
+      (fun (family, version, b) ->
         let profile =
           match family with
-          | `Circulant -> circulant ~n ~b
-          | `Random -> random_profile ~n ~b
+          | `Circulant n -> circulant ~n ~b
+          | `Random n -> random_profile ~n ~b
+          | `Bintree depth -> Bbng_constructions.Binary_tree.profile ~depth
         in
+        let n = Strategy.n profile in
         let game = Game.make version (Strategy.budgets profile) in
-        let players =
-          if n <= 30 then Array.init n Fun.id else [| 0; 50; 100; 150 |]
-        in
+        let players = cell_players family profile in
         let candidates = Bbng_graph.Combinatorics.binomial (n - 1) b in
         let bfs_moves, bfs_s =
           time_it (fun () ->
@@ -97,7 +120,10 @@ let run () =
         in
         let layout = layout_cell version profile players in
         let family =
-          match family with `Circulant -> "circulant" | `Random -> "random"
+          match family with
+          | `Circulant _ -> "circulant"
+          | `Random _ -> "random"
+          | `Bintree _ -> "bintree"
         in
         (* both engines are exact with the same deterministic scan
            order, so the full per-player move lists must coincide *)
@@ -111,7 +137,8 @@ let run () =
             Printf.sprintf "%.4f" bfs_s; Printf.sprintf "%.4f" rows_s;
             (match speedup with Some s -> Printf.sprintf "%.1fx" s | None -> "-");
             layout; verdict_cell agree ];
-        Json.Obj
+        ( agree,
+          Json.Obj
           [
             ("profile", Json.Str family);
             ("version", Json.Str (Cost.version_name version));
@@ -126,15 +153,17 @@ let run () =
               match speedup with Some s -> Json.Float s | None -> Json.Null );
             ("row_layout", Json.Str layout);
             ("agree", Json.Bool agree);
-          ])
+          ] ))
       [
-        (`Circulant, Cost.Sum, 20, 1);
-        (`Circulant, Cost.Sum, 20, 2);
-        (`Circulant, Cost.Sum, 30, 2);
-        (`Circulant, Cost.Max, 30, 2);
-        (`Circulant, Cost.Sum, 24, 3);
-        (`Random, Cost.Sum, 200, 2);
-        (`Circulant, Cost.Sum, 200, 2);
+        (`Circulant 20, Cost.Sum, 1);
+        (`Circulant 20, Cost.Sum, 2);
+        (`Circulant 30, Cost.Sum, 2);
+        (`Circulant 30, Cost.Max, 2);
+        (`Circulant 24, Cost.Sum, 3);
+        (`Random 200, Cost.Sum, 2);
+        (`Random 124, Cost.Max, 2);
+        (`Circulant 200, Cost.Sum, 2);
+        (`Bintree 5, Cost.Sum, 2);
       ]
   in
   Table.print t;
@@ -147,5 +176,10 @@ let run () =
     [
       ( "headline_speedup_n30_b2",
         match !headline with Some s -> Json.Float s | None -> Json.Null );
-      ("results", Json.List cells);
-    ]
+      ("results", Json.List (List.map snd cells));
+    ];
+  (* the gate: both engines are exact, so any disagreement is a bug *)
+  if not (List.for_all fst cells) then begin
+    note "engines disagree on at least one cell";
+    exit 1
+  end

@@ -89,12 +89,18 @@ let obs_term =
              costs one OR and popcount per 62-vertex word per level up to \
              its coverage depth D: SUM = R + sum over d < D of (R - |U_d|) \
              + (n-1-R)n^2 and MAX = D + 1, where U_d is the union of the \
-             rows' level d and R the number of vertices reached.  A deep graph \
-             (2(depth+1)ceil(n/62) > n for the base row's depth) keeps int \
-             rows and an O(b*n) min-combine; the choice follows the graph \
-             and is not an option.  Both engines are exact; certificates \
-             record which one priced them and $(b,verify) re-prices through \
-             the other.")
+             rows' level d and R the number of vertices reached.  U_d is \
+             the union of two rows: the base OR'd with every target's row \
+             but the last (kept while consecutive candidates share those \
+             targets), and the last target's row.  A scan prices a \
+             candidate against the cost it must beat and settles it, \
+             exactly, as soon as the rows' level sizes or its exact reach \
+             R show it cannot, before or during the level walk.  A deep \
+             graph (2(depth+1)ceil(n/62) > n for the base row's depth) \
+             keeps int rows and an O(b*n) min-combine; the choice follows \
+             the graph and is not an option.  Both engines are exact; \
+             certificates record which one priced them and $(b,verify) \
+             re-prices through the other.")
   in
   let metrics_out =
     Arg.(

@@ -53,6 +53,21 @@ if [ "$found_census" = 0 ]; then
   exit 1
 fi
 
+echo "== rows engine vs overlay oracle (bench engines) =="
+# both pricing engines are exact, so every engines cell must find the
+# identical moves under either: the bounded level-bitset kernel, int
+# rows on deep circulants, the binary tree's disconnected prefixes and
+# a random MAX profile.  The experiment exits non-zero on any
+# disagreement; its report stays under _build/
+engdir=_build/engines_stage
+rm -rf "$engdir"
+mkdir -p "$engdir"
+root=$(pwd)
+( cd "$engdir" && "$root/_build/default/bench/main.exe" engines > ENGINES.txt ) || {
+  echo "check: rows and overlay engines disagree (see $engdir/ENGINES.txt)"
+  exit 1
+}
+
 echo "== fault-matrix smoke =="
 # out-of-process crash-safety: SIGKILL/raise/deadline injections must
 # leave only artifacts that verify or replay cleanly, and malformed

@@ -110,20 +110,23 @@ let with_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) ?engine game
       park slot borrowed eval_ctx;
       Printexc.raise_with_backtrace e bt
 
-let eval ctx targets =
+(* Every scan prices a candidate against the threshold it must beat
+   (Deviation_eval.cost_below): the result is exact when below
+   [bound], and otherwise only known to be >= [bound], so a scan keeps
+   a candidate only when its cost is below the bound it passed.  A
+   candidate counts once it is priced: one the token refuses raises
+   before the bump. *)
+let eval ctx ~bound targets =
+  let cost = Deviation_eval.cost_below ctx.eval_ctx targets ~bound in
   Bbng_obs.Counter.bump c_candidates;
-  Deviation_eval.cost ctx.eval_ctx targets
+  cost
 
 (* Subsets of {0..n-1} \ {player} are enumerated as subsets of
-   {0..n-2} and shifted past the player. *)
-let unshift player c =
-  Array.map (fun i -> if i < player then i else i + 1) c
-
-(* In-place variant for the scan hot loops: pricing C(n-1, b)
-   candidates makes a per-candidate allocation measurable against the
-   rows engine's O(b n) combine, so the shifted candidate lives in one
-   reusable buffer ([Deviation_eval.cost] only reads it) and escapes by
-   copy only when a candidate is actually kept. *)
+   {0..n-2} and shifted past the player.  Pricing C(n-1, b) candidates
+   makes a per-candidate allocation measurable against the pricing
+   kernel, so the shifted candidate lives in one reusable buffer
+   ([Deviation_eval.cost_below] only reads it) and escapes by copy
+   only when a candidate is actually kept. *)
 let unshift_into buf player c =
   for i = 0 to Array.length c - 1 do
     let x = c.(i) in
@@ -188,21 +191,32 @@ let satisfies_lemma_2_2 profile player =
     !all
   end
 
+(* A kept move escapes the scan's reused buffer as a sorted copy. *)
+let sorted_copy targets =
+  let a = Array.copy targets in
+  Array.sort Int.compare a;
+  a
+
 let exact ?budget ?engine game profile player =
   with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
-  let n = Game.n game in
-  let buf = Array.make ctx.budget 0 in
-  match
-    Combinatorics.fold_best ~n:(n - 1) ~k:ctx.budget
-      ~score:(fun c ->
-        unshift_into buf player c;
-        eval ctx buf)
-      ~stop_at:ctx.floor ()
-  with
-  | Some (c, cost) -> { targets = unshift player c; cost }
-  | None -> assert false (* k = 0 always yields the empty subset *)
-
-exception Found of move
+  let m = Game.n game - 1 and k = ctx.budget in
+  assert (k <= m);
+  (* each candidate is priced against the cheapest so far, so a tie
+     keeps the earlier, lexicographically smaller set; the scan stops
+     once the best reaches the floor *)
+  let c = Array.init k Fun.id and buf = Array.make k 0 in
+  let best = Array.make k 0 and best_cost = ref max_int in
+  let continue = ref true in
+  while !continue do
+    unshift_into buf player c;
+    let cost = eval ctx ~bound:!best_cost buf in
+    if cost < !best_cost then begin
+      best_cost := cost;
+      Array.blit buf 0 best 0 k
+    end;
+    continue := !best_cost > ctx.floor && Combinatorics.next_combination ~n:m c
+  done;
+  { targets = best; cost = !best_cost }
 
 let record_search_size evals =
   if Bbng_obs.Span.enabled () then Bbng_obs.Metrics.observe h_candidates evals
@@ -231,16 +245,16 @@ let scan_for_improvement ctx ~stop_at_first =
       while !continue do
         unshift_into buf ctx.player c;
         incr evals;
-        let cost = eval ctx buf in
-        if cost < ctx.current_cost then begin
+        (* only a candidate cheaper than the current strategy and than
+           the best improvement so far can change the answer *)
+        let bound =
+          match !best with None -> ctx.current_cost | Some b -> b.cost
+        in
+        let cost = eval ctx ~bound buf in
+        if cost < bound then begin
           Bbng_obs.Counter.bump c_improving;
-          let better_than_best =
-            match !best with None -> true | Some b -> cost < b.cost
-          in
-          if better_than_best then begin
-            best := Some { targets = Array.copy buf; cost };
-            if stop_at_first || cost <= ctx.floor then continue := false
-          end
+          best := Some { targets = Array.copy buf; cost };
+          if stop_at_first || cost <= ctx.floor then continue := false
         end;
         if !continue then continue := Combinatorics.next_combination ~n:m c
       done
@@ -270,26 +284,25 @@ let best_refutation ?budget ?engine game profile player =
 let best_improvement ?budget ?engine game profile player =
   Option.map fst (best_refutation ?budget ?engine game profile player)
 
-let swap_candidates ctx =
-  (* (kept-set, replacement) pairs: drop each owned arc in turn, try
-     every replacement target not already owned and not the player. *)
+(* Every single-arc swap: drop each owned arc in turn and try every
+   replacement target neither owned nor the player, in increasing
+   order.  [f] gets one reused buffer holding the kept arcs first and
+   the replacement last, so consecutive candidates share everything
+   but their last target (the pricing kernel's prefix). *)
+let iter_swaps ctx f =
   let owned = Strategy.strategy ctx.profile ctx.player in
-  let n = Game.n ctx.game in
-  let is_owned v = Array.exists (fun w -> w = v) owned in
-  let moves = ref [] in
-  Array.iteri
-    (fun drop_idx _ ->
-      for v = 0 to n - 1 do
-        if v <> ctx.player && not (is_owned v) then begin
-          let targets =
-            Array.mapi (fun i w -> if i = drop_idx then v else w) owned
-          in
-          Array.sort compare targets;
-          moves := targets :: !moves
-        end
-      done)
-    owned;
-  List.rev !moves
+  let n = Game.n ctx.game and b = Array.length owned in
+  let buf = Array.make b 0 in
+  for drop = 0 to b - 1 do
+    Array.blit owned 0 buf 0 drop;
+    Array.blit owned (drop + 1) buf drop (b - 1 - drop);
+    for v = 0 to n - 1 do
+      if v <> ctx.player && not (Array.mem v owned) then begin
+        buf.(b - 1) <- v;
+        f buf
+      end
+    done
+  done
 
 let swap_scan ctx ~stop_at_first =
   if ctx.current_cost <= ctx.floor then begin
@@ -300,27 +313,21 @@ let swap_scan ctx ~stop_at_first =
   else begin
     let best = ref None in
     let evals = ref 0 in
-    let result =
-      try
-        List.iter
-          (fun targets ->
-            incr evals;
-            let cost = eval ctx targets in
-            if cost < ctx.current_cost then begin
-              Bbng_obs.Counter.bump c_improving;
-              let better = match !best with None -> true | Some m -> cost < m.cost in
-              if better then begin
-                let m = { targets; cost } in
-                if stop_at_first then raise (Found m);
-                best := Some m
-              end
-            end)
-          (swap_candidates ctx);
-        !best
-      with Found m -> Some m
-    in
+    (try
+       iter_swaps ctx (fun targets ->
+           incr evals;
+           let bound =
+             match !best with None -> ctx.current_cost | Some m -> m.cost
+           in
+           let cost = eval ctx ~bound targets in
+           if cost < bound then begin
+             Bbng_obs.Counter.bump c_improving;
+             best := Some { targets = sorted_copy targets; cost };
+             if stop_at_first then raise Exit
+           end)
+     with Exit -> ());
     record_search_size !evals;
-    result
+    !best
   end
 
 let swap_best_refutation ?budget ?engine game profile player =
@@ -380,7 +387,12 @@ type audit = {
    stops as early as the plain certifier would.  [~candidates] is the
    size of the space the tier set out to scan — it stays on the audit
    even when the scan degrades, so a verifier can compare it against
-   its own re-count. *)
+   its own re-count.  Each candidate is priced against the cheapest so
+   far, so [best] stays exact (ties keep the earlier candidate), and
+   an improving candidate is always below that bound: every earlier
+   one cost at least the current cost, or the scan would have
+   stopped.  [iter_targets] may hand out one reused buffer; a kept
+   move is a sorted copy. *)
 let audit_candidates ctx ~tier ~candidates iter_targets =
   let best = ref None in
   let improving = ref None in
@@ -388,22 +400,23 @@ let audit_candidates ctx ~tier ~candidates iter_targets =
   let interrupted = ref false in
   (try
      iter_targets (fun targets ->
+         let bound = match !best with None -> max_int | Some m -> m.cost in
+         let cost = eval ctx ~bound targets in
          incr scanned;
-         let cost = eval ctx targets in
-         (match !best with
-         | Some (m : move) when m.cost <= cost -> ()
-         | _ -> best := Some { targets; cost });
-         if cost < ctx.current_cost then begin
-           Bbng_obs.Counter.bump c_improving;
-           improving := Some { targets; cost };
-           raise Exit
+         if cost < bound then begin
+           let m = { targets = sorted_copy targets; cost } in
+           best := Some m;
+           if cost < ctx.current_cost then begin
+             Bbng_obs.Counter.bump c_improving;
+             improving := Some m;
+             raise Exit
+           end
          end)
    with
   | Exit -> ()
   | Bbng_obs.Budgeted.Expired ->
-      (* the raising candidate was never evaluated: don't count it, and
-         don't trust [best] beyond what was actually priced *)
-      decr scanned;
+      (* the raising candidate was never priced nor counted; [best] is
+         the cheapest of what was *)
       interrupted := true;
       Bbng_obs.Counter.bump c_degraded);
   record_search_size !scanned;
@@ -447,8 +460,10 @@ let audit_exact ?budget ?engine game profile player =
     audit_candidates ctx ~tier:Exhaustive
       ~candidates:(Combinatorics.binomial (n - 1) ctx.budget)
       (fun f ->
+        let buf = Array.make ctx.budget 0 in
         Combinatorics.iter_combinations ~n:(n - 1) ~k:ctx.budget (fun c ->
-            f (unshift ctx.player c)))
+            unshift_into buf ctx.player c;
+            f buf))
 
 let audit_swap ?budget ?engine game profile player =
   with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
@@ -460,7 +475,7 @@ let audit_swap ?budget ?engine game profile player =
     let n = Game.n ctx.game in
     audit_candidates ctx ~tier:Swap_exhaustive
       ~candidates:(Combinatorics.Exact (ctx.budget * (n - 1 - ctx.budget)))
-      (fun f -> List.iter f (swap_candidates ctx))
+      (iter_swaps ctx)
 
 let greedy ?budget ?engine game profile player =
   with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
@@ -475,7 +490,7 @@ let greedy ?budget ?engine game profile player =
            violate the budget; cost is still well defined. *)
         let targets = Array.of_list (v :: !chosen) in
         Array.sort compare targets;
-        let cost = eval ctx targets in
+        let cost = eval ctx ~bound:!best_cost targets in
         if cost < !best_cost then begin
           best_cost := cost;
           best_v := v
@@ -486,4 +501,4 @@ let greedy ?budget ?engine game profile player =
   done;
   let targets = Array.of_list !chosen in
   Array.sort compare targets;
-  { targets; cost = eval ctx targets }
+  { targets; cost = eval ctx ~bound:max_int targets }

@@ -28,6 +28,17 @@
     record which engine priced them so a certificate verifier can
     re-price through the other one.
 
+    Every exhaustive or swap scan prices each candidate against the
+    threshold it must beat ({!Deviation_eval.cost_below}): the current
+    cost, or the best improvement so far, for a refutation or a best
+    improvement; the cheapest candidate so far for {!exact} and the
+    audits.  A candidate at or above its bound can change no answer,
+    so results are those of pricing every candidate exactly; a scan
+    keeps a move (a sorted copy of its reused target buffer) only when
+    its price is below the bound it passed.  The [br.candidates]
+    counter counts every candidate priced, settled or not, and none
+    that a cancellation token refused.
+
     Searches on one domain reuse one parked pricing context
     ({!Deviation_eval.reset}) instead of building a new one per call;
     a search running while the context is out (a nested search, or

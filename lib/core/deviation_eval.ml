@@ -44,7 +44,18 @@ let default_choice () = Atomic.get default
    - level bitsets: [row.(0)] is the top level [top], and level
      [d <= top] occupies the [words] cells from [1 + d·words]; it is
      the set {v : dist(v) <= d}, bit [v mod 62] of word [v / 62].
-     Levels above [top] equal level [top]. *)
+     Levels above [top] equal level [top].
+
+   Level-bitset contexts also keep each row's level populations |L^d|
+   for d < [stride], outside the row: [pops.(v·stride + d)] for the
+   row of target v, and the player's slot (never a target) for the
+   base row.  [stride] is one more than the context's depth bound,
+   which no row's top exceeds.  A candidate is priced as the union of
+   two rows: the last target's, and the [prefix] row, the base OR'd
+   with every other target's row.  The prefix is built once per
+   distinct [prefix_key] (the candidate's targets but the last) into a
+   reused buffer laid out like a row with [stride] levels, followed by
+   its own populations |P^d| at [1 + stride·words + d]. *)
 type rows_state = {
   mutable cap : int;
   mutable rows : int array option array;
@@ -55,8 +66,11 @@ type rows_state = {
   mutable levels : bool;        (* level bitsets, else int rows *)
   mutable words : int;          (* ⌈n/62⌉: cells per level *)
   mutable base_depth : int;     (* the base row's largest finite entry *)
-  mutable gather : int array array;
-      (* scratch: the rows of the candidate being priced, base first *)
+  mutable stride : int;         (* depth bound + 1: levels per population *)
+  mutable pops : int array;     (* |L^d| per row, [stride] per vertex *)
+  mutable prefix : int array;
+  mutable prefix_key : int array;
+  mutable prefix_len : int;     (* targets under [prefix]; -1: none *)
 }
 
 (* Every field that depends on the captured (profile, player) is
@@ -126,7 +140,7 @@ let clear_rows rs =
   Queue.clear rs.order;
   rs.live <- 0;
   rs.base <- None;
-  Array.fill rs.gather 0 (Array.length rs.gather) [||];
+  rs.prefix_len <- -1;
   (* hits an interrupted evaluation never flushed *)
   if rs.hits > 0 then begin
     Bbng_obs.Counter.add c_row_hits rs.hits;
@@ -218,7 +232,11 @@ let reset ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap t
                 levels = false;
                 words = 0;
                 base_depth = 0;
-                gather = Array.make 3 [||];
+                stride = 1;
+                pops = [||];
+                prefix = [||];
+                prefix_key = [||];
+                prefix_len = -1;
               }));
   t.version <- version;
   t.player <- player;
@@ -428,24 +446,33 @@ let level_mem r words d v =
   (r.(1 + (d * words) + (v / word_bits)) lsr (v mod word_bits)) land 1 = 1
 
 (* Pack the BFS just run into [t.dist] ([reached] vertices in
-   [t.queue], by distance) as level bitsets, truncated at [limit]. *)
-let pack_levels t rs reached ~limit =
+   [t.queue], by distance) as level bitsets, truncated at [limit], and
+   write the levels' populations into [slot]'s stride of [rs.pops]. *)
+let pack_levels t rs reached ~limit ~slot =
   let dist = t.dist and queue = t.queue and w = rs.words in
   let depth = if reached = 0 then 0 else dist.(queue.(reached - 1)) in
   let top = if depth < limit then depth else limit in
+  assert (top < rs.stride);
   let row = Array.make (1 + ((top + 1) * w)) 0 in
   row.(0) <- top;
+  let pops = rs.pops and o = slot * rs.stride in
+  Array.fill pops o rs.stride 0;
   (* each vertex into the shell of its own distance, then prefix-OR
-     the shells into cumulative levels *)
+     the shells into cumulative levels and prefix-sum the shell sizes
+     into level populations (constant above [top]) *)
   let i = ref 0 in
   while !i < reached && dist.(queue.(!i)) <= top do
     let v = queue.(!i) in
     let k = 1 + (dist.(v) * w) + (v / word_bits) in
     row.(k) <- row.(k) lor (1 lsl (v mod word_bits));
+    pops.(o + dist.(v)) <- pops.(o + dist.(v)) + 1;
     incr i
   done;
   for k = 1 + w to (top + 1) * w do
     row.(k) <- row.(k) lor row.(k - w)
+  done;
+  for d = 1 to rs.stride - 1 do
+    pops.(o + d) <- pops.(o + d) + pops.(o + d - 1)
   done;
   row
 
@@ -516,19 +543,26 @@ let build_base_row t rs =
   let reached = bfs_row t dist !tail in
   let depth = if reached = 0 then 0 else dist.(t.queue.(reached - 1)) in
   let words = (n + word_bits - 1) / word_bits in
+  let bound =
+    if reached = n - 1 then depth else max depth (unreached_depth t dist reached)
+  in
   rs.words <- words;
   rs.base_depth <- depth;
-  rs.levels <-
-    prefer_levels ~n ~words
-      ~depth:
-        (if reached = n - 1 then depth
-         else max depth (unreached_depth t dist reached));
-  if rs.levels then pack_levels t rs reached ~limit:depth else Array.sub dist 0 n
+  rs.levels <- prefer_levels ~n ~words ~depth:bound;
+  if rs.levels then begin
+    rs.stride <- bound + 1;
+    if Array.length rs.pops < n * rs.stride then
+      rs.pops <- Array.make (n * rs.stride) 0;
+    pack_levels t rs reached ~limit:depth ~slot:t.player
+  end
+  else Array.sub dist 0 n
 
 (* A target row.  As level bitsets it stops at the base row's depth
    when the base reaches the target: the target's component is then
    inside the base's reach, which the base's top level already holds,
-   so deeper target levels add nothing to any union. *)
+   so deeper target levels add nothing to any union.  Otherwise its
+   depth is the target's eccentricity in a component the base misses,
+   within the depth bound [unreached_depth] gave. *)
 let build_row t rs target =
   Bbng_obs.Fault.hit "deveval.row_build";
   Bbng_obs.Counter.bump c_rows_built;
@@ -542,7 +576,7 @@ let build_row t rs target =
       | Some base when level_mem base rs.words base.(0) target -> rs.base_depth
       | _ -> max_int
     in
-    pack_levels t rs reached ~limit
+    pack_levels t rs reached ~limit ~slot:target
   end
   else begin
     let row = Array.make t.n (t.n * t.n) in
@@ -686,47 +720,74 @@ let[@inline] level_at r words d =
   let top = r.(0) in
   1 + ((if d < top then d else top) * words)
 
-(* |U^d|, the number of vertices within [d] hops of some row of the
-   candidate: the union of level [d] of [rs.gather.(0 .. nrows - 1)].
-   Unrolled for three rows: a b = 2 candidate with the base, the hot
-   case of every exhaustive scan. *)
-let level_count rs nrows d =
-  let w = rs.words and g = rs.gather in
+(* |P ∪ L| for the levels starting at cells [po] of [p] and [lo] of
+   [l]: one OR and one popcount per word. *)
+let[@inline] union_count p po l lo words =
   let c = ref 0 in
-  (match nrows with
-  | 3 ->
-      let r0 = g.(0) and r1 = g.(1) and r2 = g.(2) in
-      let o0 = level_at r0 w d and o1 = level_at r1 w d in
-      let o2 = level_at r2 w d in
-      for k = 0 to w - 1 do
-        c := !c + popcount (r0.(o0 + k) lor r1.(o1 + k) lor r2.(o2 + k))
-      done
-  | _ ->
-      for k = 0 to w - 1 do
-        let u = ref 0 in
-        for j = 0 to nrows - 1 do
-          let r = g.(j) in
-          u := !u lor r.(level_at r w d + k)
-        done;
-        c := !c + popcount !u
-      done);
+  for k = 0 to words - 1 do
+    c := !c + popcount (p.(po + k) lor l.(lo + k))
+  done;
   !c
 
-(* Mark U^∞, the union of the gathered rows' top levels, into [seen]
-   for the MAX component walk. *)
-let mark_level_reach t rs nrows =
+(* Whether [rs.prefix] holds the union of the base and the rows of
+   [targets.(0 .. len - 1)]. *)
+let prefix_matches rs targets len =
+  rs.prefix_len = len
+  &&
+  let key = rs.prefix_key and same = ref true and i = ref 0 in
+  while !same && !i < len do
+    same := key.(!i) = targets.(!i);
+    incr i
+  done;
+  !same
+
+(* Build the prefix row of [targets.(0 .. len - 1)]: the base OR'd
+   with each target's row, level by level up to the depth bound, then
+   its populations.  Rows are fetched one at a time, so an eviction
+   under a small cache cap cannot pull a row out from under the OR.
+   The key is only recorded once the buffer is complete, so a build
+   cut short (an injected fault) leaves no prefix, never a torn one. *)
+let build_prefix t rs base targets len =
+  rs.prefix_len <- -1;
+  let w = rs.words and stride = rs.stride in
+  let pops_at = 1 + (stride * w) in
+  if Array.length rs.prefix < pops_at + stride then
+    rs.prefix <- Array.make (pops_at + stride) 0;
+  let p = rs.prefix in
+  for d = 0 to stride - 1 do
+    Array.blit base (level_at base w d) p (1 + (d * w)) w
+  done;
+  let top = ref base.(0) in
+  for i = 0 to len - 1 do
+    let r = cached_row t rs targets.(i) in
+    if r.(0) > !top then top := r.(0);
+    for d = 0 to stride - 1 do
+      let po = 1 + (d * w) and ro = level_at r w d in
+      for k = 0 to w - 1 do
+        p.(po + k) <- p.(po + k) lor r.(ro + k)
+      done
+    done
+  done;
+  p.(0) <- !top;
+  for d = 0 to stride - 1 do
+    let po = 1 + (d * w) in
+    p.(pops_at + d) <- union_count p po p po w
+  done;
+  if Array.length rs.prefix_key < len then rs.prefix_key <- Array.make len 0;
+  Array.blit targets 0 rs.prefix_key 0 len;
+  rs.prefix_len <- len
+
+(* Mark U^∞ = P^∞ ∪ L^∞ into [seen] for the MAX component walk. *)
+let mark_level_reach t rs p l =
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
   t.seen.(t.player) <- stamp;
-  let w = rs.words and g = rs.gather in
+  let w = rs.words in
+  let po = 1 + (p.(0) * w) and lo = 1 + (l.(0) * w) in
   for k = 0 to w - 1 do
-    let u = ref 0 in
-    for j = 0 to nrows - 1 do
-      let r = g.(j) in
-      u := !u lor r.(1 + (r.(0) * w) + k)
-    done;
+    let u = p.(po + k) lor l.(lo + k) in
     for bit = 0 to word_bits - 1 do
-      if (!u lsr bit) land 1 = 1 then t.seen.((k * word_bits) + bit) <- stamp
+      if (u lsr bit) land 1 = 1 then t.seen.((k * word_bits) + bit) <- stamp
     done
   done
 
@@ -738,65 +799,98 @@ let mark_level_reach t rs nrows =
      SUM = R + Σ_{d<D} (R − |U^d|) + (n−1−R)·n²
      MAX = D + 1 when R = n − 1
 
-   and the walk stops at the first level that does not grow (or that
-   reaches all n − 1 other vertices).  A disconnected MAX falls back to
-   the component walk from U^∞.  The combine charges (b+1)·n work
-   units like the int combine, so a work limit stops a scan at the
-   same candidate under either representation. *)
-let level_rows_cost t rs base targets =
-  let b = Array.length targets in
-  if Array.length rs.gather <= b then rs.gather <- Array.make (b + 1) [||];
-  let g = rs.gather in
-  g.(0) <- base;
-  for k = 0 to b - 1 do
-    g.(k + 1) <- cached_row t rs targets.(k)
-  done;
-  let nrows = b + 1 in
-  let n = t.n in
+   and a disconnected MAX falls back to the component walk from U^∞.
+   U^d = P^d ∪ L^d, the prefix row [p] and the last target's row [l]
+   (populations at [lpops] in [rs.pops]).  Three exact tiers settle a
+   candidate against [bound], each returning [bound] when the cost is
+   provably at least that:
+   1. populations: |U^d| <= |P^d| + |L^d|, so with T the depth bound
+        SUM >= (n−1) + Σ_{d<=T} max(0, n−1−|P^d|−|L^d|)
+        MAX >= 1 + the first d with |P^d| + |L^d| >= n−1 (n² if none);
+   2. the exact reach R = |P^T ∪ L^T|: a disconnected candidate
+      (R < n−1) has SUM >= R + (n−1−R)·n² and MAX >= n²;
+   3. the level walk, stopping once its partial SUM, or D + 1 under
+      MAX, reaches [bound]. *)
+let level_price t rs p l lpops ~bound =
+  let n = t.n and w = rs.words and stride = rs.stride in
   let full = n - 1 and inf = n * n in
-  let d = ref 0 and prev = ref 0 and below = ref 0 in
-  let depth = ref (-1) and reached = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let c = level_count rs nrows !d in
-    if c = !prev then begin
-      (* no growth: the union stopped at level d - 1 *)
-      depth := !d - 1;
-      reached := c;
-      below := !below - c;
-      continue := false
-    end
-    else if c = full then begin
-      depth := !d;
-      reached := c;
-      continue := false
-    end
-    else begin
-      below := !below + c;
-      prev := c;
-      incr d
-    end
-  done;
-  Bbng_obs.Budgeted.spend t.budget (nrows * n);
+  let pops = rs.pops and ppops = 1 + (stride * w) in
   match t.version with
   | Cost.Sum ->
-      !reached + (!depth * !reached) - !below + ((full - !reached) * inf)
-  | Cost.Max ->
-      if !reached = full then !depth + 1
+      let lb = ref full in
+      for d = 0 to stride - 1 do
+        let gap = full - p.(ppops + d) - pops.(lpops + d) in
+        if gap > 0 then lb := !lb + gap
+      done;
+      if !lb >= bound then bound
       else begin
-        mark_level_reach t rs nrows;
-        let kappa = 1 + unreached_components t in
-        inf + ((kappa - 1) * inf)
+        let r = union_count p (1 + (p.(0) * w)) l (1 + (l.(0) * w)) w in
+        let acc = ref (r + ((full - r) * inf)) in
+        let d = ref 0 and walking = ref (!acc < bound) in
+        while !walking do
+          let c = union_count p (1 + (!d * w)) l (level_at l w !d) w in
+          if c = r then walking := false
+          else begin
+            acc := !acc + (r - c);
+            incr d;
+            walking := !acc < bound
+          end
+        done;
+        if !acc < bound then !acc else bound
       end
+  | Cost.Max ->
+      let d0 = ref 0 in
+      while !d0 < stride && p.(ppops + !d0) + pops.(lpops + !d0) < full do
+        incr d0
+      done;
+      if (if !d0 < stride then !d0 + 1 else inf) >= bound then bound
+      else begin
+        let r = union_count p (1 + (p.(0) * w)) l (1 + (l.(0) * w)) w in
+        if r < full then
+          if inf >= bound then bound
+          else begin
+            mark_level_reach t rs p l;
+            let kappa = 1 + unreached_components t in
+            inf + ((kappa - 1) * inf)
+          end
+        else begin
+          (* connected: D >= d0, and the walk ends at D *)
+          let d = ref !d0 and result = ref (-1) in
+          while !result < 0 do
+            if !d + 1 >= bound then result := bound
+            else if union_count p (1 + (!d * w)) l (level_at l w !d) w = full
+            then result := !d + 1
+            else incr d
+          done;
+          !result
+        end
+      end
+
+(* The combine charges (b+1)·n work units like the int combine,
+   whichever tier settles the candidate, so a work limit stops a scan
+   at the same candidate under either representation.  A candidate
+   without targets prices the base against itself. *)
+let level_rows_cost t rs base targets ~bound =
+  let b = Array.length targets in
+  let len = if b = 0 then 0 else b - 1 in
+  (* a reused prefix serves its targets' rows from the cache: count
+     them as hits, as the lookups it saves would have been *)
+  if prefix_matches rs targets len then rs.hits <- rs.hits + len
+  else build_prefix t rs base targets len;
+  let slot = if b = 0 then t.player else targets.(b - 1) in
+  let l = if b = 0 then base else cached_row t rs slot in
+  let result = level_price t rs rs.prefix l (slot * rs.stride) ~bound in
+  Bbng_obs.Budgeted.spend t.budget ((b + 1) * t.n);
+  result
 
 (* Cache-hit accounting is batched into one atomic [Counter.add] per
    evaluation instead of one bump per target, through a tally in the
    row state rather than a local ref and closure, so an evaluation
    allocates nothing. *)
-let rows_cost t rs targets =
+let rows_cost t rs targets ~bound =
   let base = base_row t rs in
   let result =
-    if rs.levels then level_rows_cost t rs base targets
+    if rs.levels then level_rows_cost t rs base targets ~bound
     else int_rows_cost t rs base targets
   in
   if rs.hits > 0 then begin
@@ -805,12 +899,13 @@ let rows_cost t rs targets =
   end;
   result
 
-let cost t targets =
+let cost_below t targets ~bound =
   Bbng_obs.Budgeted.checkpoint t.budget;
   Bbng_obs.Counter.bump c_evals;
   validate_targets t targets;
   match t.rows_state with
   | None -> overlay_cost t targets
-  | Some rs -> rows_cost t rs targets
+  | Some rs -> rows_cost t rs targets ~bound
 
+let cost t targets = cost_below t targets ~bound:max_int
 let current_cost t = cost t t.own

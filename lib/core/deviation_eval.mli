@@ -35,15 +35,34 @@
 
       and a disconnected MAX counts components as below.  Each row is
       stored as level bitsets (level d = the vertices within d, packed
-      62 to an int), so a level of U costs one OR per word per row plus
-      a popcount, and the walk stops at D: O((D+2)·b·⌈n/62⌉) per
-      candidate.  Deep graphs would make that worse than the plain
+      62 to an int).  A candidate is the union of {e two} rows: a
+      prefix row P (the base OR'd with every target row but the last,
+      built into a reused buffer and kept while consecutive candidates
+      share those targets, as an odometer scan's do) and the last
+      target's row L, so a level of U costs one OR and one popcount
+      per word.  Deep graphs would make the walk worse than the plain
       O(b·n) min-combine over int rows, so each context picks its
       representation from its base row: bitsets when 2·(depth+1)·⌈n/62⌉
       <= n (depth bounds every candidate's D, see {!row_layout}), int
       rows otherwise.  Over a C(n-1, b) exhaustive scan either way
       replaces O(C(n-1,b)·(n+m)) with one BFS per row plus a
       per-candidate combine.
+
+    A scan needs a candidate's exact price only when it could beat the
+    scan's threshold.  {!cost_below} takes that threshold as [bound]
+    and, on level bitsets, settles a candidate that provably costs at
+    least [bound] by the first of three exact tiers that applies:
+    - {e populations}: each row's level sizes |L{^d}| are recorded when
+      it is built and the prefix keeps its own |P{^d}|, and
+      |U{^d}| <= |P{^d}| + |L{^d}|, so with T the depth bound
+      SUM >= (n−1) + Σ_{d<=T} max(0, n−1−|P{^d}|−|L{^d}|) and
+      MAX >= 1 + the first d with |P{^d}| + |L{^d}| >= n−1;
+    - {e the exact reach} R = |P{^T} ∪ L{^T}| (one OR per word): a
+      disconnected candidate has SUM >= R + (n−1−R)·n² and MAX >= n²;
+    - {e the level walk}, which stops once its partial SUM, or D + 1
+      under MAX, reaches [bound].
+    A settled candidate prices as [bound]; any other is exact.  Int-row
+    and overlay contexts ignore [bound].
 
     In both engines the vertices an evaluation misses induce the same
     components as in the static graph (none of their edges involve the
@@ -116,7 +135,7 @@ val reset :
     same arguments ([make] is a fresh context followed by [reset]).
     The scratch arrays, the static adjacency and the row table are
     reused, growing only when the new profile is larger; cached rows
-    are dropped and the token is replaced.  O(n + m), with no
+    and the prefix row are dropped and the token is replaced.  O(n + m), with no
     allocation once the context has seen a profile at least this
     large.  Valid at any point, including after a scan interrupted by
     {!Bbng_obs.Budgeted.Expired}.
@@ -124,7 +143,7 @@ val reset :
     left unchanged). *)
 
 val release : t -> unit
-(** Drops the context's cached rows, its reference to the profile's
+(** Drops the context's cached rows and prefix row, its reference to the profile's
     strategy and its token, so a context parked for reuse pins no
     memory beyond its scratch arrays.  A released context must be
     {!reset} before its next {!cost}. *)
@@ -161,7 +180,8 @@ val set_budget : t -> Bbng_obs.Budgeted.t -> unit
     scan. *)
 
 val cost : t -> int array -> int
-(** [cost ctx targets] is the player's cost if it plays [targets]
+(** [cost ctx targets] ([cost_below ~bound:max_int]) is the player's
+    cost if it plays [targets]
     (sorted or not; duplicates, self-targets and out-of-range vertices
     are rejected).  Budget length is {e not} enforced here — the
     evaluator is also used on partial target sets by the greedy
@@ -178,6 +198,18 @@ val cost : t -> int array -> int
     crash-safety matrix).
     @raise Invalid_argument on a self-target, a duplicate target or an
     out-of-range vertex.
+    @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
+
+val cost_below : t -> int array -> bound:int -> int
+(** [cost_below ctx targets ~bound] is {!cost} where that is below
+    [bound], and otherwise some value [>= bound] (so a scan can compare
+    the result against [bound] and learn whether it is exact).  A
+    level-bitset context settles most candidates of an exhaustive scan
+    without the full level walk (the settling tiers of the module
+    preamble); int-row and overlay contexts ignore [bound] and stay
+    exact.  Same validation, cancellation and work charge as {!cost},
+    whichever tier settles the candidate.
+    @raise Invalid_argument as {!cost}.
     @raise Bbng_obs.Budgeted.Expired once the token has expired. *)
 
 val current_cost : t -> int

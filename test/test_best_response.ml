@@ -196,6 +196,192 @@ let prop_greedy_never_beats_exact =
       (Best_response.greedy game p player).Best_response.cost
       >= (Best_response.exact game p player).Best_response.cost)
 
+(* --- test-only reference scans: every candidate priced through the
+   generic route, in the scans' documented order, with no bound and no
+   shared context --- *)
+
+let ref_exact_candidates n player b =
+  let acc = ref [] in
+  Bbng_graph.Combinatorics.iter_combinations ~n:(n - 1) ~k:b (fun c ->
+      acc := Array.map (fun i -> if i < player then i else i + 1) c :: !acc);
+  List.rev !acc
+
+(* drop each owned arc in turn, replacements increasing *)
+let ref_swap_candidates n player owned =
+  List.concat
+    (List.init (Array.length owned) (fun drop ->
+         List.filter_map
+           (fun v ->
+             if v = player || Array.mem v owned then None
+             else begin
+               let t = Array.copy owned in
+               t.(drop) <- v;
+               Array.sort compare t;
+               Some t
+             end)
+           (List.init n Fun.id)))
+
+let priced game p player candidates =
+  List.map
+    (fun targets ->
+      { Best_response.targets; cost = Game.deviation_cost game p ~player ~targets })
+    candidates
+
+(* the first candidate of least cost *)
+let ref_first_min = function
+  | [] -> None
+  | m :: rest ->
+      Some
+        (List.fold_left
+           (fun (b : Best_response.move) (m : Best_response.move) ->
+             if m.cost < b.cost then m else b)
+           m rest)
+
+(* What an audit of [moves] reports when at most [limit] of them get
+   priced: the cheapest seen and the first strict improvement, where
+   the scan stops; [Degraded_scan] when the limit cut it short. *)
+let ref_audit ~tier ~engine ~candidates ~current ~limit moves =
+  let rec go scanned best = function
+    | [] -> (tier, scanned, best, None)
+    | _ when scanned = limit -> (Best_response.Degraded_scan, scanned, best, None)
+    | (m : Best_response.move) :: rest ->
+        let best =
+          match best with
+          | Some (b : Best_response.move) when b.cost <= m.cost -> best
+          | _ -> Some m
+        in
+        if m.cost < current then (tier, scanned + 1, best, Some m)
+        else go (scanned + 1) best rest
+  in
+  let tier, scanned, best, improving = go 0 None moves in
+  { Best_response.tier; engine; scanned; candidates; current; best; improving }
+
+let pruned_ref ~tier ~engine ~current =
+  {
+    Best_response.tier;
+    engine;
+    scanned = 0;
+    candidates = Bbng_graph.Combinatorics.Exact 0;
+    current;
+    best = None;
+    improving = None;
+  }
+
+let cost_floor_of game p player =
+  let n = Strategy.n p in
+  let in_degree = ref 0 in
+  for i = 0 to n - 1 do
+    if i <> player && Array.mem player (Strategy.strategy p i) then incr in_degree
+  done;
+  Cost.cost_floor (Game.version game) ~n
+    ~budget:(Budget.get (Strategy.budgets p) player)
+    ~in_degree:!in_degree
+
+let prop_scans_match_reference =
+  (* every bounded scan answers exactly as the unbounded reference, field
+     for field: the audits (unlimited, and cut short by a random work
+     limit at whatever candidate it stops), the best response and both
+     refutations, under either engine *)
+  let module Budgeted = Bbng_obs.Budgeted in
+  qcheck ~count:150 "bounded scans == unbounded reference scans"
+    (random_budget_gen ~n_min:2 ~n_max:10) (fun ((n, _, seed) as input) ->
+      let p = random_profile_of input in
+      let st = rng (seed + 41) in
+      let player = Random.State.int st n in
+      let owned = Strategy.strategy p player in
+      let b = Array.length owned in
+      List.for_all
+        (fun version ->
+          let game = Game.make version (Strategy.budgets p) in
+          let engine =
+            match Random.State.int st 3 with
+            | 0 -> Deviation_eval.Auto
+            | 1 -> Deviation_eval.Fixed Deviation_eval.Rows
+            | _ -> Deviation_eval.Fixed Deviation_eval.Bfs_overlay
+          in
+          let resolved =
+            Deviation_eval.engine (Deviation_eval.make ~engine version p ~player)
+          in
+          let current = Game.player_cost game p player in
+          let floor = cost_floor_of game p player in
+          let exact_moves = priced game p player (ref_exact_candidates n player b) in
+          let swap_moves = priced game p player (ref_swap_candidates n player owned) in
+          let expect_exact ~limit =
+            if current <= floor then
+              pruned_ref ~tier:Best_response.Cost_floor ~engine:resolved ~current
+            else if Best_response.satisfies_lemma_2_2 p player then
+              pruned_ref ~tier:Best_response.Lemma_2_2_tier ~engine:resolved ~current
+            else
+              ref_audit ~tier:Best_response.Exhaustive ~engine:resolved
+                ~candidates:(Bbng_graph.Combinatorics.binomial (n - 1) b)
+                ~current ~limit exact_moves
+          in
+          let expect_swap ~limit =
+            if current <= floor then
+              pruned_ref ~tier:Best_response.Cost_floor ~engine:resolved ~current
+            else
+              ref_audit ~tier:Best_response.Swap_exhaustive ~engine:resolved
+                ~candidates:(Bbng_graph.Combinatorics.Exact (b * (n - 1 - b)))
+                ~current ~limit swap_moves
+          in
+          let limited audit expect =
+            let budget = Budgeted.create ~work_limit:(Random.State.int st (4 * n * n)) () in
+            let a = audit budget in
+            let limit =
+              if a.Best_response.tier = Best_response.Degraded_scan then
+                a.Best_response.scanned
+              else max_int
+            in
+            a = expect ~limit
+          in
+          let best = ref_first_min exact_moves in
+          let improving =
+            List.find_opt (fun (m : Best_response.move) -> m.cost < current) exact_moves
+          in
+          Best_response.audit_exact ~engine game p player = expect_exact ~limit:max_int
+          && Best_response.audit_swap ~engine game p player = expect_swap ~limit:max_int
+          && limited
+               (fun budget -> Best_response.audit_exact ~budget ~engine game p player)
+               expect_exact
+          && limited
+               (fun budget -> Best_response.audit_swap ~budget ~engine game p player)
+               expect_swap
+          && Some (Best_response.exact ~engine game p player) = best
+          && Best_response.best_refutation ~engine game p player
+             = (match best with
+               | Some m when m.Best_response.cost < current -> Some (m, current)
+               | _ -> None)
+          && Best_response.exact_refutation ~engine game p player
+             = Option.map (fun m -> (m, current)) improving)
+        Cost.all_versions)
+
+let test_candidates_counter_counts_priced () =
+  (* br.candidates counts candidates that were priced: on a work-limited
+     certification the evidence's scanned total equals the counter's
+     delta, although every degraded player's scan ends on a candidate
+     the token refused *)
+  let p = Bbng_constructions.Binary_tree.profile ~depth:5 in
+  let game = Game.make Cost.Sum (Strategy.budgets p) in
+  List.iter
+    (fun work_limit ->
+      let budget = Bbng_obs.Budgeted.create ~work_limit () in
+      let before = Bbng_obs.Counter.find "br.candidates" in
+      let cert = Equilibrium.certify_cert ~budget game p in
+      let moved = Bbng_obs.Counter.find "br.candidates" - before in
+      let scanned =
+        List.fold_left
+          (fun acc (_, (a : Best_response.audit)) -> acc + a.Best_response.scanned)
+          0 cert.Equilibrium.cert_evidence
+      in
+      check_true
+        (Printf.sprintf "work limit %d degrades the certificate" work_limit)
+        (match Equilibrium.certificate_verdict cert with
+        | Equilibrium.Degraded _ -> true
+        | _ -> false);
+      check_int (Printf.sprintf "work limit %d: scanned = br.candidates delta" work_limit)
+        scanned moved)
+    [ 100_000; 1_000_000 ]
+
 let suite =
   [
     case "exact absorbs isolated vertices" test_exact_connects;
@@ -212,4 +398,7 @@ let suite =
     prop_swap_never_beats_exact;
     prop_exact_at_most_current;
     prop_greedy_never_beats_exact;
+    prop_scans_match_reference;
+    case "br.candidates counts priced candidates"
+      test_candidates_counter_counts_priced;
   ]

@@ -305,6 +305,44 @@ let prop_random_certs_verify =
       ignore (cert_json cert);
       true)
 
+let test_golden_certificates_recertify () =
+  (* every committed golden certificate is reproduced by certifying its
+     profile again in its mode: the same evidence, player for player.
+     Certificates written before audits recorded their engine read
+     back as overlay-priced, so those are re-certified on that engine *)
+  let dir = "golden" in
+  let files =
+    List.filter
+      (fun f -> String.starts_with ~prefix:"CERT_" f && Filename.check_suffix f ".json")
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  check_true "golden certificates present" (List.length files >= 5);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      match Equilibrium.read_certificate path with
+      | Error msg -> Alcotest.failf "%s: %s" f msg
+      | Ok golden ->
+          let text = In_channel.with_open_bin path In_channel.input_all in
+          let records_engine =
+            match Json.member "players" (Json.of_string text) with
+            | Some (Json.List (first :: _)) -> Json.member "engine" first <> None
+            | _ -> false
+          in
+          let engine =
+            if records_engine then None
+            else Some (Deviation_eval.Fixed Deviation_eval.Bfs_overlay)
+          in
+          let p = golden.Equilibrium.cert_profile in
+          let g = game golden.Equilibrium.cert_version (Strategy.budgets p) in
+          let fresh =
+            match golden.Equilibrium.cert_mode with
+            | Equilibrium.Exact_mode -> Equilibrium.certify_cert ?engine g p
+            | Equilibrium.Swap_mode -> Equilibrium.certify_swap_cert ?engine g p
+          in
+          check_true (f ^ ": re-certified evidence equals the golden") (same_cert golden fresh))
+    files
+
 let suite =
   [
     case "verdict agrees with certify" test_verdict_agrees_with_certify;
@@ -323,4 +361,5 @@ let suite =
     case "swap certificates" test_swap_cert_agrees_with_certify_swap;
     case "evidence structure" test_evidence_structure;
     prop_random_certs_verify;
+    case "golden certificates re-certify" test_golden_certificates_recertify;
   ]

@@ -516,9 +516,119 @@ let test_reset_shallow_deep_shallow () =
       ("shallow again", Cost.Max, shallow, 100, Deviation_eval.Level_bitsets);
     ]
 
+(* The [cost_below] contract, against the generic route: the exact cost
+   when it is below the bound, and some value >= the bound otherwise.
+   One context is re-seated across shallow (level bitsets), deep (int
+   rows) and disconnected profiles, sometimes under a cache cap of 1;
+   each profile prices full-budget candidates in shuffled target
+   orders, runs of candidates sharing all but their last target, and
+   repeats, at bounds cost - 1, cost, cost + 1, a random value and
+   max_int.  Where the player has at most 600 candidates, every one is
+   also priced at bounds cost and cost + 1 against the overlay engine,
+   so the tight cases of every settling tier come up. *)
+let prop_cost_below_contract =
+  qcheck ~count:100 "cost_below: exact below the bound, >= it otherwise"
+    QCheck.(make ~print:string_of_int Gen.(int_range 0 1_000_000))
+    (fun seed ->
+      let st = rng seed in
+      let reused = ref None in
+      let shuffle a =
+        for i = Array.length a - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let x = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- x
+        done;
+        a
+      in
+      List.for_all
+        (fun _ ->
+          let p, player =
+            match Random.State.int st 4 with
+            | 0 ->
+                let n = 4 + Random.State.int st 60 in
+                (Strategy.random st (Budget.uniform ~n ~budget:2), Random.State.int st n)
+            | 1 ->
+                let n = 4 + Random.State.int st 60 in
+                let b = Budget.of_list (List.init n (fun _ -> Random.State.int st 4)) in
+                (Strategy.random st b, Random.State.int st n)
+            | 2 ->
+                let n = 20 + Random.State.int st 40 in
+                core_with_islands st ~n ~k:(4 + Random.State.int st 6)
+            | _ ->
+                if Random.State.bool st then (circulant ~n:(30 + Random.State.int st 40) ~b:2, 3)
+                else (Bbng_constructions.Tripod.profile ~k:(3 + Random.State.int st 8), 0)
+          in
+          let n = Strategy.n p in
+          let version = if Random.State.bool st then Cost.Sum else Cost.Max in
+          let game = Game.make version (Strategy.budgets p) in
+          let row_cache_cap = if Random.State.bool st then Some 1 else None in
+          let engine =
+            if Random.State.int st 4 = 0 then Deviation_eval.Auto
+            else fixed Deviation_eval.Rows
+          in
+          let ctx =
+            match !reused with
+            | Some c ->
+                Deviation_eval.reset ~engine ?row_cache_cap c version p ~player;
+                c
+            | None ->
+                let c = Deviation_eval.make ~engine ?row_cache_cap version p ~player in
+                reused := Some c;
+                c
+          in
+          let b = Budget.get (Strategy.budgets p) player in
+          let draw () = Strategy.strategy (Strategy.random st (Strategy.budgets p)) player in
+          let candidates =
+            List.concat_map
+              (fun _ ->
+                let t = shuffle (Array.copy (draw ())) in
+                (* the same prefix with other last targets *)
+                let siblings =
+                  List.filter_map
+                    (fun v ->
+                      if b = 0 || v = player || Array.mem v t then None
+                      else begin
+                        let t' = Array.copy t in
+                        t'.(b - 1) <- v;
+                        Some t'
+                      end)
+                    (List.init 3 (fun _ -> Random.State.int st n))
+                in
+                (t :: siblings) @ [ shuffle (Array.copy t) ])
+              (List.init 4 Fun.id)
+          in
+          let swept =
+            (not
+               (Bbng_graph.Combinatorics.count_at_most 600
+                  (Bbng_graph.Combinatorics.binomial (n - 1) b)))
+            ||
+            let oracle = bfs_of version p player in
+            List.for_all
+              (fun targets ->
+                let exact = Deviation_eval.cost oracle targets in
+                Deviation_eval.cost_below ctx targets ~bound:exact >= exact
+                && Deviation_eval.cost_below ctx targets ~bound:(exact + 1) = exact)
+              (all_candidates n player b)
+          in
+          swept
+          && List.for_all
+            (fun targets ->
+              let exact =
+                Game.deviation_cost game p ~player ~targets:(Array.copy targets)
+              in
+              List.for_all
+                (fun bound ->
+                  let r = Deviation_eval.cost_below ctx targets ~bound in
+                  if exact < bound then r = exact else r >= bound)
+                [ exact - 1; exact; exact + 1; Random.State.int st ((2 * exact) + 2);
+                  max_int ])
+            candidates)
+        (List.init 3 Fun.id))
+
 (* every b = 2 candidate of [player], twice: the first pass caches all
-   rows, the second is measured *)
-let minor_words_per_eval c ~n ~player =
+   rows, the second is measured; [bound] is each candidate's bound *)
+let minor_words_per_eval ?(bound = fun _ -> max_int) c ~n ~player =
   let comb = [| 0; 1 |] and buf = [| 0; 0 |] in
   let pass () =
     comb.(0) <- 0;
@@ -527,7 +637,7 @@ let minor_words_per_eval c ~n ~player =
     while !continue do
       buf.(0) <- (if comb.(0) < player then comb.(0) else comb.(0) + 1);
       buf.(1) <- (if comb.(1) < player then comb.(1) else comb.(1) + 1);
-      ignore (Deviation_eval.cost c buf : int);
+      ignore (Deviation_eval.cost_below c buf ~bound:(bound !evals) : int);
       incr evals;
       continue := Bbng_graph.Combinatorics.next_combination ~n:(n - 1) comb
     done;
@@ -541,19 +651,28 @@ let minor_words_per_eval c ~n ~player =
 
 let test_rows_eval_allocation_free () =
   (* counted, not timed: once its rows are cached, a Rows evaluation
-     allocates nothing, in either layout (n = 200, b = 2) *)
+     allocates nothing, in either layout (n = 200, b = 2), unbounded or
+     against bounds that settle candidates at every tier *)
   List.iter
     (fun (name, p, layout) ->
       List.iter
         (fun version ->
           let c = rows_of version p 0 in
           check_layout name layout c;
-          let evals, words = minor_words_per_eval c ~n:200 ~player:0 in
-          check_true (name ^ ": at least 10k evaluations") (evals >= 10_000);
-          check_true
-            (Printf.sprintf "%s %s: %.0f minor words over %d evaluations" name
-               (Cost.version_name version) words evals)
-            (words = 0.))
+          let current = Deviation_eval.current_cost c in
+          List.iter
+            (fun (what, bound) ->
+              let evals, words = minor_words_per_eval ~bound c ~n:200 ~player:0 in
+              check_true (name ^ ": at least 10k evaluations") (evals >= 10_000);
+              check_true
+                (Printf.sprintf "%s %s %s: %.0f minor words over %d evaluations"
+                   name (Cost.version_name version) what words evals)
+                (words = 0.))
+            [
+              ("cost", fun _ -> max_int);
+              ("cost_below current", fun _ -> current);
+              ("cost_below varied", fun i -> current - 2 + (i mod 5));
+            ])
         Cost.all_versions)
     [
       ( "random b=2",
@@ -612,6 +731,7 @@ let suite =
     prop_rows_equals_bfs;
     prop_equivalent_to_generic;
     prop_current_cost_equivalent;
+    prop_cost_below_contract;
     prop_reset_equals_fresh;
     case "release then reset" test_release_then_reset;
     prop_rows_equals_bfs_multiword;
