@@ -1,23 +1,27 @@
-(* Engine head-to-head: overlay-BFS vs distance-row exact deviation
-   pricing on exhaustive best-response scans.
+(* Engine ablation: overlay-BFS vs distance-row exact deviation
+   pricing over every candidate of exhaustive best-response scans —
+   the measurement behind the budget rule that picks an engine per
+   player (rows for b >= 2, overlay otherwise).
 
-   Both engines are exact (the qcheck oracle in test_deviation_eval
-   pins rows == bfs on random profiles), so the interesting output is
-   the wall-clock ratio: the rows engine replaces one BFS per candidate
-   strategy with one cached BFS row per candidate *target* plus a
-   per-candidate combine — on shallow graphs the level identity over
-   two level-bitset rows (a prefix row OR'ing the base with every
-   target but the last, and the last target's row), with candidates
-   that cannot beat the scan's threshold settled from the rows' level
-   sizes or the exact reach; on deep ones an O(b n) min-combine over
-   int rows — dropping the scan from O(C(n-1,b) (n+m)) to one BFS per
-   row plus C(n-1,b) combines.  The "rows layout" column names the
-   representation the scanned players' contexts chose.
+   Each cell prices every candidate of each scanned player twice,
+   through a context forced to each engine ([Deviation_eval.cost],
+   unbounded), and times each side.  The rows engine replaces one BFS
+   per candidate strategy with one cached BFS row per candidate
+   *target* plus a per-candidate combine — on shallow graphs the level
+   identity over two level-bitset rows (a prefix row OR'ing the base
+   with every target but the last, and the last target's row); on deep
+   ones an O(b n) min-combine over int rows — dropping the scan from
+   O(C(n-1,b) (n+m)) to one BFS per row plus C(n-1,b) combines.  The
+   b = 1 cell is the rule's other side: one row per candidate, no
+   reuse.  The "rows layout" column names the representation the
+   scanned players' rows contexts chose.
 
-   Every cell is also an oracle check: the overlay engine ignores
-   pricing bounds, so identical moves under both engines pin the
-   bounded kernel, and the run exits non-zero on any disagreement
-   (bin/check.sh runs it).  The binary tree's internal players have
+   Every cell is also an oracle check, and the run exits non-zero on
+   any disagreement (bin/check.sh runs it): the two engines' prices
+   must be equal candidate by candidate, and
+   [Best_response.best_improvement] — budget rule, bounded pricing,
+   pruning tiers — must return the move a plain scan over the overlay
+   prices returns.  The binary tree's internal players have
    disconnected player-deleted graphs, so its cell covers prefixes
    that reach only part of the graph.
 
@@ -46,27 +50,57 @@ let circulant ~n ~b =
 let random_profile ~n ~b =
   Strategy.random (Random.State.make [| n; b |]) (Budget.uniform ~n ~budget:b)
 
-let scan_players ~engine game profile players =
+(* Every candidate of [player], in the order the exhaustive scans
+   visit them: subsets of the other vertices in lexicographic order.
+   The array is reused between calls. *)
+let iter_candidates profile player f =
+  let n = Strategy.n profile in
+  let others = Array.of_list (List.filter (( <> ) player) (List.init n Fun.id)) in
+  Bbng_graph.Combinatorics.iter_combinations_of others
+    ~k:(Budget.get (Strategy.budgets profile) player)
+    f
+
+(* Each scanned player's context under [engine] and the unbounded
+   price of every candidate, in scan order. *)
+let price_players engine version profile players =
   Array.map
-    (fun player -> Best_response.best_improvement ~engine game profile player)
+    (fun player ->
+      let ctx = Deviation_eval.make ~engine version profile ~player in
+      let prices = ref [] in
+      iter_candidates profile player (fun targets ->
+          prices := Deviation_eval.cost ctx targets :: !prices);
+      (ctx, Array.of_list (List.rev !prices)))
     players
+
+(* What an exhaustive best-improvement scan returns from these prices:
+   the first cheapest candidate, if it beats the current cost.  The
+   pruning tiers and the floor stop of [Best_response] change no
+   answer, so this is its move without them. *)
+let reference_move ctx profile player prices =
+  let best = ref None and i = ref 0 in
+  iter_candidates profile player (fun targets ->
+      let bound =
+        match !best with
+        | None -> Deviation_eval.current_cost ctx
+        | Some m -> m.Best_response.cost
+      in
+      let cost = prices.(!i) in
+      incr i;
+      if cost < bound then
+        best := Some { Best_response.targets = Array.copy targets; cost });
+  !best
 
 (* "levels" / "ints" when every scanned player's rows context chose
    the same layout, "mixed L/I" otherwise *)
-let layout_cell version profile players =
+let layout_cell rows_ctxs =
   let levels = ref 0 and ints = ref 0 in
   Array.iter
-    (fun player ->
-      let c =
-        Deviation_eval.make ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
-          version profile ~player
-      in
-      ignore (Deviation_eval.current_cost c : int);
+    (fun (c, _) ->
       match Deviation_eval.row_layout c with
       | Some Deviation_eval.Level_bitsets -> incr levels
       | Some Deviation_eval.Int_rows -> incr ints
       | None -> ())
-    players;
+    rows_ctxs;
   if !ints = 0 then "levels"
   else if !levels = 0 then "ints"
   else Printf.sprintf "mixed %d/%d" !levels !ints
@@ -106,28 +140,32 @@ let run () =
         let game = Game.make version (Strategy.budgets profile) in
         let players = cell_players family profile in
         let candidates = Bbng_graph.Combinatorics.binomial (n - 1) b in
-        let bfs_moves, bfs_s =
+        let bfs, bfs_s =
           time_it (fun () ->
-              scan_players
-                ~engine:(Deviation_eval.Fixed Deviation_eval.Bfs_overlay)
-                game profile players)
+              price_players Deviation_eval.Bfs_overlay version profile players)
         in
-        let rows_moves, rows_s =
+        let rows, rows_s =
           time_it (fun () ->
-              scan_players
-                ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
-                game profile players)
+              price_players Deviation_eval.Rows version profile players)
         in
-        let layout = layout_cell version profile players in
+        let layout = layout_cell rows in
         let family =
           match family with
           | `Circulant _ -> "circulant"
           | `Random _ -> "random"
           | `Bintree _ -> "bintree"
         in
-        (* both engines are exact with the same deterministic scan
-           order, so the full per-player move lists must coincide *)
-        let agree = bfs_moves = rows_moves in
+        (* both engines are exact, so every candidate's two prices
+           must coincide; and the budget rule's bounded scan must return
+           the overlay-priced scan's move *)
+        let agree =
+          Array.for_all2 (fun (_, p) (_, q) -> p = q) bfs rows
+          && Array.for_all2
+               (fun player (ctx, prices) ->
+                 Best_response.best_improvement game profile player
+                 = reference_move ctx profile player prices)
+               players bfs
+        in
         let speedup = if rows_s > 0. then Some (bfs_s /. rows_s) else None in
         if version = Cost.Sum && n = 30 && b = 2 then headline := speedup;
         Table.add_row t

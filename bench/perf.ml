@@ -14,11 +14,11 @@ let sun_game = Game.make Cost.Sum (Strategy.budgets sun30)
 let tripod8 = Bbng_constructions.Tripod.profile ~k:8
 let tripod_game = Game.make Cost.Max (Strategy.budgets tripod8)
 
-(* Engine head-to-head: exhaustive best response on a circulant profile
-   (i -> {i+1, i+2} mod n) sized so neither the cost floor nor Lemma 2.2
-   prunes — the scan really prices all C(n-1, b) candidate strategies,
-   which is what separates the overlay-BFS engine from the
-   distance-row engine. *)
+(* Exhaustive best response on a circulant profile (i -> {i+1, i+2}
+   mod n) sized so neither the cost floor nor Lemma 2.2 prunes — the
+   scan really prices all C(n-1, b) candidate strategies on the
+   distance-row engine (the `engines` experiment sets it against the
+   overlay BFS). *)
 let circ30 =
   let n = 30 in
   Strategy.make
@@ -90,20 +90,9 @@ let workloads =
         ignore (Game.deviation_cost sun_game sun30 ~player:5 ~targets:[| 7 |]) );
     ( "deviation-incremental-sun30",
       fun () -> ignore (Deviation_eval.cost deviation_ctx [| 7 |]) );
-    (* engine head-to-head on the same full C(29,2) = 406 scan — the
-       report derives rows_vs_bfs_speedup from this pair *)
-    ( "br-exact-bfs-n30b2",
-      fun () ->
-        ignore
-          (Best_response.best_improvement
-             ~engine:(Deviation_eval.Fixed Deviation_eval.Bfs_overlay)
-             circ_game circ30 0) );
+    (* a full C(29,2) = 406 scan; b = 2 prices it on rows *)
     ( "br-exact-rows-n30b2",
-      fun () ->
-        ignore
-          (Best_response.best_improvement
-             ~engine:(Deviation_eval.Fixed Deviation_eval.Rows)
-             circ_game circ30 0) );
+      fun () -> ignore (Best_response.best_improvement circ_game circ30 0) );
     ("census-scan-unit4", fun () -> ignore (Census.run census_game));
     ( "census-merge-unit4",
       fun () ->
@@ -202,19 +191,6 @@ let print_table results =
     results;
   Bbng_analysis.Table.print table
 
-(* rows-engine speedup on the exhaustive best-response pair, derived
-   from the measured pair rather than re-timed, so the recorded ratio
-   matches the ns/run figures in the same report *)
-let rows_vs_bfs_speedup results =
-  let ns name =
-    List.find_map
-      (fun r -> if r.test = "bbng/" ^ name then r.ns else None)
-      results
-  in
-  match (ns "br-exact-bfs-n30b2", ns "br-exact-rows-n30b2") with
-  | Some bfs, Some rows when rows > 0. -> Some (bfs /. rows)
-  | _ -> None
-
 let report ~name results =
   let module Json = Bbng_obs.Json in
   (* the history line is the trajectory `bench --trend` gates against *)
@@ -245,11 +221,6 @@ let run_with ~report_name ~quota () =
     "PERF — Bechamel micro-benchmarks (monotonic clock) + exact minor words";
   let results = measure ~quota in
   print_table results;
-  (match rows_vs_bfs_speedup results with
-  | Some s ->
-      Exp_common.note
-        "rows vs overlay-BFS speedup (exhaustive best response, n=30 b=2): %.1fx" s
-  | None -> ());
   report ~name:report_name results
 
 let run () = run_with ~report_name:"micro" ~quota:0.25 ()

@@ -76,32 +76,6 @@ let obs_term =
              dynamics step is emitted.  The $(b,BBNG_FAULT) environment \
              variable takes the same specs, comma-separated.")
   in
-  let engine =
-    Arg.(
-      value & opt string "auto"
-      & info [ "eval-engine" ] ~docv:"bfs|rows|auto"
-          ~doc:
-            "Deviation pricing engine for exact searches: $(b,bfs) runs one \
-             BFS per candidate strategy, $(b,rows) combines cached \
-             per-target distance rows, $(b,auto) (default) picks rows for \
-             players with budget >= 2.  On a shallow graph rows are level \
-             bitsets (level d = the vertices within d hops), and a candidate \
-             costs one OR and popcount per 62-vertex word per level up to \
-             its coverage depth D: SUM = R + sum over d < D of (R - |U_d|) \
-             + (n-1-R)n^2 and MAX = D + 1, where U_d is the union of the \
-             rows' level d and R the number of vertices reached.  U_d is \
-             the union of two rows: the base OR'd with every target's row \
-             but the last (kept while consecutive candidates share those \
-             targets), and the last target's row.  A scan prices a \
-             candidate against the cost it must beat and settles it, \
-             exactly, as soon as the rows' level sizes or its exact reach \
-             R show it cannot, before or during the level walk.  A deep \
-             graph (2(depth+1)ceil(n/62) > n for the base row's depth) \
-             keeps int rows and an O(b*n) min-combine; the choice follows \
-             the graph and is not an option.  Both engines are exact; \
-             certificates record which one priced them and $(b,verify) \
-             re-prices through the other.")
-  in
   let metrics_out =
     Arg.(
       value
@@ -127,7 +101,7 @@ let obs_term =
              compatible.  Implies span collection; see also $(b,bbng_cli \
              flame) for profiling an already-recorded report.")
   in
-  let setup stats report faults engine metrics_out profile_out =
+  let setup stats report faults metrics_out profile_out =
     let rec arm = function
       | [] -> Ok ()
       | s :: rest -> (
@@ -137,17 +111,7 @@ let obs_term =
               arm rest
           | Error msg -> Error (Printf.sprintf "bad --fault spec: %s" msg))
     in
-    match
-      let* () = arm faults in
-      match Bbng_core.Deviation_eval.choice_of_name engine with
-      | Some choice ->
-          Bbng_core.Deviation_eval.set_default_choice choice;
-          Ok ()
-      | None ->
-          Error
-            (Printf.sprintf "bad --eval-engine %S (expected bfs, rows or auto)"
-               engine)
-    with
+    match arm faults with
     | Error _ as e -> e
     | Ok () ->
         (* one flag turns on spans and the call-path table they book
@@ -234,7 +198,7 @@ let obs_term =
   in
   Term.term_result'
     Term.(
-      const setup $ stats $ report $ fault $ engine $ metrics_out $ profile_out)
+      const setup $ stats $ report $ fault $ metrics_out $ profile_out)
 
 (* Deadline/work-budget flags, shared by the deadline-aware
    subcommands.  Absent flags yield the shared unlimited token, which

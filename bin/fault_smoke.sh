@@ -112,18 +112,28 @@ for f in artifacts/DYN_*.jsonl.partial; do
 done
 
 echo "== 8. SIGKILL mid-row-build: rows-engine certify leaves the previous artifact intact =="
-"$CLI" certify "$PROFILE" -c max --eval-engine rows --cert ROWS.json > /dev/null
+# players 0, 2 and 4 own two arcs each, so the budget prices them on rows
+"$CLI" certify "$PROFILE" -c max --cert ROWS.json > /dev/null
+for player in 0 2 4; do
+  grep -q "\"player\":$player,\"tier\":\"exact\",\"engine\":\"rows\"" ROWS.json \
+    || fail "player $player was not priced on rows"
+done
 cp ROWS.json ROWS.before.json
 rc=0
-"$CLI" certify "$PROFILE" -c max --eval-engine rows --cert ROWS.json \
+"$CLI" certify "$PROFILE" -c max --cert ROWS.json \
   --fault deveval.row_build@kill@3 > /dev/null 2>&1 || rc=$?
 [ "$rc" = 137 ] || fail "expected SIGKILL exit 137, got $rc"
 cmp -s ROWS.before.json ROWS.json || fail "previous rows certificate was torn"
 "$CLI" verify ROWS.json > /dev/null || fail "previous rows certificate no longer verifies"
 # and a fresh run re-certifies byte-identically (same argv, so the
 # provenance block matches too: run it from a sibling directory)
-mkdir rows2 && (cd rows2 && "$CLI" certify "$PROFILE" -c max --eval-engine rows --cert ROWS.json > /dev/null)
+mkdir rows2 && (cd rows2 && "$CLI" certify "$PROFILE" -c max --cert ROWS.json > /dev/null)
 cmp -s ROWS.json rows2/ROWS.json || fail "rows certify is not deterministic after the kill"
+# the engine is no longer an option: a script passing the old flag
+# fails loudly with a usage error
+rc=0
+"$CLI" certify "$PROFILE" -c max --eval-engine rows > /dev/null 2>&1 || rc=$?
+[ "$rc" = 124 ] || fail "--eval-engine: expected usage exit 124, got $rc"
 
 echo "== 9. SIGKILL between heartbeats: fresh .prom survives, .partial carries the beats =="
 # BBNG_HEARTBEAT_MS=0 beats at every step, so the 4th progress.tick

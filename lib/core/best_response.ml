@@ -56,12 +56,11 @@ let park slot borrowed eval_ctx =
    those must stay available under any deadline.  The caller's token is
    armed only after warm-up, so only the candidate scan can trip.
 
-   [?engine] picks the pricing engine (default: the process-wide
-   choice, see Deviation_eval.set_default_choice).  Contexts are
-   per-domain state, so parallel certification naturally gets one
-   context — and one private row cache — per domain. *)
-let with_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) ?engine game
-    profile player f =
+   The player's budget picks the pricing engine (Deviation_eval.make).
+   Contexts are per-domain state, so parallel certification naturally
+   gets one context — and one private row cache — per domain. *)
+let with_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) game profile
+    player f =
   let n = Game.n game in
   let budget = Budget.get (Game.budgets game) player in
   let version = Game.version game in
@@ -70,12 +69,12 @@ let with_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) ?engine game
   let eval_ctx =
     match borrowed with
     | Some c -> (
-        match Deviation_eval.reset ?engine c version profile ~player with
+        match Deviation_eval.reset c version profile ~player with
         | () -> c
         | exception e ->
             Atomic.set slot borrowed;
             raise e)
-    | None -> Deviation_eval.make ?engine version profile ~player
+    | None -> Deviation_eval.make version profile ~player
   in
   let in_degree = ref 0 in
   for i = 0 to n - 1 do
@@ -197,8 +196,8 @@ let sorted_copy targets =
   Array.sort Int.compare a;
   a
 
-let exact ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let exact ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   let m = Game.n game - 1 and k = ctx.budget in
   assert (k <= m);
   (* each candidate is priced against the cheapest so far, so a tie
@@ -270,19 +269,19 @@ let with_current ctx = function
   | Some m -> Some (m, ctx.current_cost)
   | None -> None
 
-let exact_refutation ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let exact_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   with_current ctx (scan_for_improvement ctx ~stop_at_first:true)
 
-let exact_improvement ?budget ?engine game profile player =
-  Option.map fst (exact_refutation ?budget ?engine game profile player)
+let exact_improvement ?budget game profile player =
+  Option.map fst (exact_refutation ?budget game profile player)
 
-let best_refutation ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let best_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   with_current ctx (scan_for_improvement ctx ~stop_at_first:false)
 
-let best_improvement ?budget ?engine game profile player =
-  Option.map fst (best_refutation ?budget ?engine game profile player)
+let best_improvement ?budget game profile player =
+  Option.map fst (best_refutation ?budget game profile player)
 
 (* Every single-arc swap: drop each owned arc in turn and try every
    replacement target neither owned nor the player, in increasing
@@ -330,19 +329,19 @@ let swap_scan ctx ~stop_at_first =
     !best
   end
 
-let swap_best_refutation ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let swap_best_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   with_current ctx (swap_scan ctx ~stop_at_first:false)
 
-let swap_best ?budget ?engine game profile player =
-  Option.map fst (swap_best_refutation ?budget ?engine game profile player)
+let swap_best ?budget game profile player =
+  Option.map fst (swap_best_refutation ?budget game profile player)
 
-let swap_refutation ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let swap_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   with_current ctx (swap_scan ctx ~stop_at_first:true)
 
-let first_improving_swap ?budget ?engine game profile player =
-  Option.map fst (swap_refutation ?budget ?engine game profile player)
+let first_improving_swap ?budget game profile player =
+  Option.map fst (swap_refutation ?budget game profile player)
 
 (* --- audited checks: the same ladder, with evidence --- *)
 
@@ -445,8 +444,8 @@ let pruned_audit ctx tier =
     improving = None;
   }
 
-let audit_exact ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let audit_exact ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   if ctx.current_cost <= ctx.floor then begin
     Bbng_obs.Counter.bump c_pruned_floor;
     pruned_audit ctx Cost_floor
@@ -465,8 +464,8 @@ let audit_exact ?budget ?engine game profile player =
             unshift_into buf ctx.player c;
             f buf))
 
-let audit_swap ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let audit_swap ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   if ctx.current_cost <= ctx.floor then begin
     Bbng_obs.Counter.bump c_pruned_floor;
     pruned_audit ctx Cost_floor
@@ -477,8 +476,8 @@ let audit_swap ?budget ?engine game profile player =
       ~candidates:(Combinatorics.Exact (ctx.budget * (n - 1 - ctx.budget)))
       (iter_swaps ctx)
 
-let greedy ?budget ?engine game profile player =
-  with_context ?scan_budget:budget ?engine game profile player @@ fun ctx ->
+let greedy ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
   let n = Game.n game in
   let chosen = ref [] in
   let is_chosen v = List.mem v !chosen in

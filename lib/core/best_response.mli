@@ -21,12 +21,11 @@
     degradation policy); the audited checks convert interruption into a
     typed {!Degraded_scan} audit instead.
 
-    Every search also takes an optional [?engine] picking the pricing
-    engine ({!Deviation_eval.choice}; default is the process-wide
-    choice): the overlay-BFS engine or the distance-row engine.  Both
-    are exact, so every result below is engine-independent; audits
-    record which engine priced them so a certificate verifier can
-    re-price through the other one.
+    The searched player's budget picks the pricing engine
+    ({!Deviation_eval.engine}): distance rows when it owns two or more
+    arcs, the overlay BFS otherwise.  Both are exact, so every result
+    below is engine-independent; audits record which engine priced
+    them so a certificate verifier can re-price through the other one.
 
     Every exhaustive or swap scan prices each candidate against the
     threshold it must beat ({!Deviation_eval.cost_below}): the current
@@ -57,7 +56,6 @@ val satisfies_lemma_2_2 : Strategy.t -> int -> bool
 
 val exact :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move
 (** The true best response of a player (ties broken toward the
     lexicographically smallest target set; the player's current strategy
@@ -67,7 +65,6 @@ val exact :
 
 val exact_improvement :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** [Some m] with [m.cost < current cost] if the player can improve
     (the search stops at the first strict improvement found after
@@ -77,7 +74,6 @@ val exact_improvement :
 
 val exact_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> (move * int) option
 (** {!exact_improvement} paired with the player's current cost, as the
     search already priced it: [Some (m, c)] with [m.cost < c] and [c]
@@ -87,7 +83,6 @@ val exact_refutation :
 
 val best_improvement :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** Like {!exact_improvement} but scans everything: the {e best}
     deviation, or [None] if already optimal.
@@ -95,7 +90,6 @@ val best_improvement :
 
 val best_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> (move * int) option
 (** {!best_improvement} paired with the player's current cost, as the
     search already priced it (like {!exact_refutation}): what dynamics
@@ -105,7 +99,6 @@ val best_refutation :
 
 val swap_best :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** Best strict improvement obtainable by replacing exactly one owned
     arc (keeping the other [b - 1]); [None] if no swap improves.
@@ -114,7 +107,6 @@ val swap_best :
 
 val swap_best_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> (move * int) option
 (** {!swap_best} paired with the player's current cost, like
     {!best_refutation}.
@@ -122,7 +114,6 @@ val swap_best_refutation :
 
 val first_improving_swap :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move option
 (** First strict improvement by a single swap, scan order: owned arcs
     increasing, replacement targets increasing.
@@ -130,7 +121,6 @@ val first_improving_swap :
 
 val swap_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> (move * int) option
 (** {!first_improving_swap} paired with the player's current cost, like
     {!exact_refutation}.
@@ -180,7 +170,6 @@ type audit = {
 
 val audit_exact :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> audit
 (** Audited exact check.  Prunes exactly like {!exact_improvement}
     (and agrees with it on [improving = None]); when no pruning fires
@@ -199,7 +188,6 @@ val audit_exact :
 
 val audit_swap :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> audit
 (** Audited swap-stability check (cost-floor pruning only; Lemma 2.2
     is about exact best responses).  Degrades under an expired
@@ -207,7 +195,6 @@ val audit_swap :
 
 val greedy :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> int -> move
 (** Heuristic response: pick the [b] targets one at a time, each time
     adding the target that minimizes the player's cost with the partial

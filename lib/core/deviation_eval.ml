@@ -15,21 +15,6 @@ let engine_of_name = function
   | "rows" -> Some Rows
   | _ -> None
 
-type choice = Fixed of engine | Auto
-
-let choice_name = function Fixed e -> engine_name e | Auto -> "auto"
-
-let choice_of_name = function
-  | "auto" -> Some Auto
-  | s -> Option.map (fun e -> Fixed e) (engine_of_name s)
-
-(* Process-wide default, set once by the CLI/bench --eval-engine flag
-   before any context exists; contexts resolve it at [make] time, so
-   domains spawned later inherit it without signature churn. *)
-let default = Atomic.make Auto
-let set_default_choice c = Atomic.set default c
-let default_choice () = Atomic.get default
-
 (* Distance rows of the player-deleted static graph, built lazily one
    BFS at a time.  [rows.(v)] caches dist_{G∖player}(v, ·); [base] is
    the single multi-source row min over staticN(player).  FIFO eviction
@@ -106,14 +91,6 @@ type t = {
   mutable budget : Bbng_obs.Budgeted.t;
 }
 
-(* Rows beat the overlay BFS once a candidate scan re-visits targets,
-   which C(n-1, b) enumeration does heavily for b >= 2; at b <= 1 every
-   row is used once and the overlay's single BFS is already optimal. *)
-let resolve_choice choice ~budget_size =
-  match choice with
-  | Fixed e -> e
-  | Auto -> if budget_size >= 2 then Rows else Bfs_overlay
-
 let create () =
   {
     version = Cost.Sum;
@@ -152,11 +129,16 @@ let release t =
   t.own <- [||];
   t.budget <- Bbng_obs.Budgeted.unlimited
 
-let reset ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap t
+let check_player fn profile player =
+  if player < 0 || player >= Strategy.n profile then
+    invalid_arg (fn ^ ": bad player")
+
+(* [reset] without the player check; [Some] engine overrides the
+   budget rule (only [make] exposes it) *)
+let reseat ?(budget = Bbng_obs.Budgeted.unlimited) ?row_cache_cap ~engine t
     version profile ~player =
   Bbng_obs.Counter.bump c_contexts;
   let n = Strategy.n profile in
-  if player < 0 || player >= n then invalid_arg "Deviation_eval.make: bad player";
   (* vertex-indexed scratch: grown (never shrunk) to the new n; the
      stamp keeps counting, so stale marks in reused cells stay stale *)
   if Array.length t.seen < n then begin
@@ -200,10 +182,15 @@ let reset ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap t
     end
   done;
   let own = Strategy.strategy profile player in
-  let choice =
-    match engine with Some c -> c | None -> Atomic.get default
+  (* the budget rule: rows beat the overlay BFS once a candidate scan
+     re-visits targets, which C(n-1, b) enumeration does heavily for
+     b >= 2; at b <= 1 every row is used once and the overlay's single
+     BFS is already optimal *)
+  let engine =
+    match engine with
+    | Some e -> e
+    | None -> if Array.length own >= 2 then Rows else Bfs_overlay
   in
-  let engine = resolve_choice choice ~budget_size:(Array.length own) in
   (match engine with
   | Bfs_overlay -> t.rows_state <- None
   | Rows ->
@@ -245,9 +232,14 @@ let reset ?(budget = Bbng_obs.Budgeted.unlimited) ?engine ?row_cache_cap t
   t.own <- own;
   t.budget <- budget
 
+let reset ?budget ?row_cache_cap t version profile ~player =
+  check_player "Deviation_eval.reset" profile player;
+  reseat ?budget ?row_cache_cap ~engine:None t version profile ~player
+
 let make ?budget ?engine ?row_cache_cap version profile ~player =
+  check_player "Deviation_eval.make" profile player;
   let t = create () in
-  reset ?budget ?engine ?row_cache_cap t version profile ~player;
+  reseat ?budget ?row_cache_cap ~engine t version profile ~player;
   t
 
 let player t = t.player

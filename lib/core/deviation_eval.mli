@@ -6,7 +6,8 @@
     digraph and its undirected view per candidate; this module builds
     the static part — every arc {e not} owned by the deviating player,
     as undirected adjacency — once, and prices candidates with one of
-    two exact engines.
+    two exact engines, picked by the player's budget: [Rows] when the
+    player owns two or more arcs, [Bfs_overlay] otherwise.
 
     Both rest on the one-arc shortest-path lemma: a shortest path from
     the player never revisits the player, so it uses {e at most one} of
@@ -76,33 +77,19 @@
 type t
 
 type engine = Bfs_overlay | Rows
-(** The two exact pricing engines (see the module preamble). *)
-
-type choice = Fixed of engine | Auto
-(** Engine selection: [Auto] resolves per context to [Rows] when the
-    player's budget is ≥ 2 (rows amortize only when candidates share
-    first hops) and [Bfs_overlay] otherwise. *)
+(** The two exact pricing engines (see the module preamble).  The
+    player's budget picks one: [Rows] when the player owns at least two
+    arcs (rows amortize only when candidates share first hops),
+    [Bfs_overlay] otherwise. *)
 
 val engine_name : engine -> string
 (** ["bfs"] or ["rows"] — the stable names certificates record. *)
 
 val engine_of_name : string -> engine option
 
-val choice_name : choice -> string
-(** ["bfs"], ["rows"] or ["auto"]. *)
-
-val choice_of_name : string -> choice option
-
-val set_default_choice : choice -> unit
-(** Process-wide default used when {!make} gets no [?engine]; set once
-    by the [--eval-engine] CLI/bench flag.  Contexts resolve it at
-    {!make} time, so parallel domains spawned later inherit it. *)
-
-val default_choice : unit -> choice
-
 val make :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:choice ->
+  ?engine:engine ->
   ?row_cache_cap:int ->
   Cost.version ->
   Strategy.t ->
@@ -110,7 +97,10 @@ val make :
   t
 (** Captures the fixed part.  O(n + m).  [?budget] (default unlimited)
     is the cancellation token every subsequent {!cost} call honours.
-    [?engine] overrides the process default ({!set_default_choice});
+    [?engine] overrides the budget rule (see {!type:engine}); only
+    callers that compare the engines need it (a certificate verifier
+    re-pricing through the other engine, the oracle tests, the engine
+    ablation).
     [?row_cache_cap] bounds how many distance rows the [Rows] engine
     keeps live (FIFO eviction, clamped to ≥ 1; the default keeps the
     cache under ~64 MB and never evicts at paper scales).  Cache
@@ -119,11 +109,11 @@ val make :
 
     A context is single-domain state: parallel certification gives each
     domain its own context, rows are never shared across domains.
-    Every call returns a fresh context owned by the caller alone. *)
+    Every call returns a fresh context owned by the caller alone.
+    @raise Invalid_argument on an out-of-range player. *)
 
 val reset :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:choice ->
   ?row_cache_cap:int ->
   t ->
   Cost.version ->
@@ -132,15 +122,16 @@ val reset :
   unit
 (** [reset ctx version profile ~player] re-seats [ctx] on a new
     profile and player, exactly as if it were [make]'s result with the
-    same arguments ([make] is a fresh context followed by [reset]).
+    same arguments (the engine follows the new player's budget, even
+    if [ctx] was made with a forced [?engine]).
     The scratch arrays, the static adjacency and the row table are
     reused, growing only when the new profile is larger; cached rows
     and the prefix row are dropped and the token is replaced.  O(n + m), with no
     allocation once the context has seen a profile at least this
     large.  Valid at any point, including after a scan interrupted by
     {!Bbng_obs.Budgeted.Expired}.
-    @raise Invalid_argument on an out-of-range player (the context is
-    left unchanged). *)
+    @raise Invalid_argument on an out-of-range player (the context and
+    the [deveval.contexts] counter are left unchanged). *)
 
 val release : t -> unit
 (** Drops the context's cached rows and prefix row, its reference to the profile's
@@ -152,7 +143,8 @@ val player : t -> int
 val version : t -> Cost.version
 
 val engine : t -> engine
-(** The engine this context resolved to ([Auto] already applied). *)
+(** The engine this context prices with: the budget rule's pick unless
+    {!make} forced one. *)
 
 type row_layout =
   | Int_rows       (** one int per vertex; an O(b·n) min-combine *)

@@ -87,12 +87,11 @@ type certificate = {
 
 val certify_cert :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> certificate
 (** Certificate-producing {!certify}: same scan order, same pruning,
-    same verdict, plus evidence.  [?engine] picks the pricing engine
-    (default: the process-wide choice); the evidence records the engine
-    each audit resolved to.
+    same verdict, plus evidence.  Each player's budget picks the
+    pricing engine (see {!Best_response}); the evidence records the
+    engine each audit used.
 
     [?budget] (default unlimited) bounds the work: once the token
     trips, each remaining player still gets the cheap tiers
@@ -106,15 +105,13 @@ val certify_cert :
 
 val certify_swap_cert :
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t -> Strategy.t -> certificate
-(** Certificate-producing {!certify_swap}.  [?budget] and [?engine] as
-    in {!certify_cert}. *)
+(** Certificate-producing {!certify_swap}.  [?budget] and the engine
+    as in {!certify_cert}. *)
 
 val certify_parallel_cert :
   ?domains:int ->
   ?budget:Bbng_obs.Budgeted.t ->
-  ?engine:Deviation_eval.choice ->
   Game.t ->
   Strategy.t ->
   certificate

@@ -111,58 +111,34 @@ let test_greedy_respects_budget () =
   let exact = Best_response.exact game p 0 in
   check_int "greedy optimal on star" exact.Best_response.cost m.Best_response.cost
 
-let test_engines_agree_and_are_recorded () =
-  (* both pricing engines are exact, so every finder must return the
-     identical move under either; the audits must record which engine
-     priced them and the size of the scanned candidate space *)
-  let bfs = Deviation_eval.Fixed Deviation_eval.Bfs_overlay in
-  let rows = Deviation_eval.Fixed Deviation_eval.Rows in
+let test_audits_record_the_budgets_engine () =
+  (* the player's budget picks the pricing engine — rows for b >= 2,
+     the overlay BFS otherwise — and every audit records it, with the
+     size of the candidate space it scanned.  Engine agreement is
+     pinned in test_deviation_eval (rows == overlay == generic). *)
   let _, p = fixture () in
   List.iter
     (fun version ->
       let game = Game.make version (Strategy.budgets p) in
-      check_true "exact agrees"
-        (Best_response.exact ~engine:bfs game p 0
-        = Best_response.exact ~engine:rows game p 0);
-      check_true "best_improvement agrees"
-        (Best_response.best_improvement ~engine:bfs game p 0
-        = Best_response.best_improvement ~engine:rows game p 0);
-      check_true "swap_best agrees"
-        (Best_response.swap_best ~engine:bfs game p 0
-        = Best_response.swap_best ~engine:rows game p 0);
-      let ab = Best_response.audit_exact ~engine:bfs game p 0 in
-      let ar = Best_response.audit_exact ~engine:rows game p 0 in
-      check_true "bfs engine recorded"
-        (ab.Best_response.engine = Deviation_eval.Bfs_overlay);
-      check_true "rows engine recorded"
-        (ar.Best_response.engine = Deviation_eval.Rows);
-      check_true "audits agree up to the engine field"
-        (ab.Best_response.tier = ar.Best_response.tier
-        && ab.Best_response.scanned = ar.Best_response.scanned
-        && ab.Best_response.candidates = ar.Best_response.candidates
-        && ab.Best_response.best = ar.Best_response.best);
+      List.iter
+        (fun (player, engine) ->
+          let name = Printf.sprintf "player %d" player in
+          check_true (name ^ ": exact audit engine")
+            ((Best_response.audit_exact game p player).Best_response.engine
+            = engine);
+          check_true (name ^ ": swap audit engine")
+            ((Best_response.audit_swap game p player).Best_response.engine
+            = engine))
+        [ (0, Deviation_eval.Rows); (1, Deviation_eval.Bfs_overlay);
+          (2, Deviation_eval.Bfs_overlay) ];
       (* fixture: n = 5, b = 2, no pruning fires for player 0 *)
       check_true "exhaustive candidate count"
-        (ab.Best_response.candidates = Bbng_graph.Combinatorics.Exact 6);
-      let sw = Best_response.audit_swap ~engine:rows game p 0 in
+        ((Best_response.audit_exact game p 0).Best_response.candidates
+        = Bbng_graph.Combinatorics.Exact 6);
       check_true "swap candidate count"
-        (sw.Best_response.candidates = Bbng_graph.Combinatorics.Exact 4))
+        ((Best_response.audit_swap game p 0).Best_response.candidates
+        = Bbng_graph.Combinatorics.Exact 4))
     Cost.all_versions
-
-let prop_engines_agree_on_random_profiles =
-  qcheck ~count:100 "best_improvement engine-independent"
-    (random_budget_gen ~n_min:2 ~n_max:7) (fun ((n, _, seed) as input) ->
-      let p = random_profile_of input in
-      let player = seed mod n in
-      List.for_all
-        (fun version ->
-          let game = Game.make version (Strategy.budgets p) in
-          Best_response.best_improvement
-            ~engine:(Deviation_eval.Fixed Deviation_eval.Bfs_overlay) game p
-            player
-          = Best_response.best_improvement
-              ~engine:(Deviation_eval.Fixed Deviation_eval.Rows) game p player)
-        Cost.all_versions)
 
 let prop_swap_never_beats_exact =
   qcheck "exact best <= best swap" (random_budget_gen ~n_min:2 ~n_max:6)
@@ -281,7 +257,7 @@ let prop_scans_match_reference =
   (* every bounded scan answers exactly as the unbounded reference, field
      for field: the audits (unlimited, and cut short by a random work
      limit at whatever candidate it stops), the best response and both
-     refutations, under either engine *)
+     refutations *)
   let module Budgeted = Bbng_obs.Budgeted in
   qcheck ~count:150 "bounded scans == unbounded reference scans"
     (random_budget_gen ~n_min:2 ~n_max:10) (fun ((n, _, seed) as input) ->
@@ -293,14 +269,9 @@ let prop_scans_match_reference =
       List.for_all
         (fun version ->
           let game = Game.make version (Strategy.budgets p) in
+          (* the budget rule; random budgets draw both sides of it *)
           let engine =
-            match Random.State.int st 3 with
-            | 0 -> Deviation_eval.Auto
-            | 1 -> Deviation_eval.Fixed Deviation_eval.Rows
-            | _ -> Deviation_eval.Fixed Deviation_eval.Bfs_overlay
-          in
-          let resolved =
-            Deviation_eval.engine (Deviation_eval.make ~engine version p ~player)
+            if b >= 2 then Deviation_eval.Rows else Deviation_eval.Bfs_overlay
           in
           let current = Game.player_cost game p player in
           let floor = cost_floor_of game p player in
@@ -308,19 +279,19 @@ let prop_scans_match_reference =
           let swap_moves = priced game p player (ref_swap_candidates n player owned) in
           let expect_exact ~limit =
             if current <= floor then
-              pruned_ref ~tier:Best_response.Cost_floor ~engine:resolved ~current
+              pruned_ref ~tier:Best_response.Cost_floor ~engine ~current
             else if Best_response.satisfies_lemma_2_2 p player then
-              pruned_ref ~tier:Best_response.Lemma_2_2_tier ~engine:resolved ~current
+              pruned_ref ~tier:Best_response.Lemma_2_2_tier ~engine ~current
             else
-              ref_audit ~tier:Best_response.Exhaustive ~engine:resolved
+              ref_audit ~tier:Best_response.Exhaustive ~engine
                 ~candidates:(Bbng_graph.Combinatorics.binomial (n - 1) b)
                 ~current ~limit exact_moves
           in
           let expect_swap ~limit =
             if current <= floor then
-              pruned_ref ~tier:Best_response.Cost_floor ~engine:resolved ~current
+              pruned_ref ~tier:Best_response.Cost_floor ~engine ~current
             else
-              ref_audit ~tier:Best_response.Swap_exhaustive ~engine:resolved
+              ref_audit ~tier:Best_response.Swap_exhaustive ~engine
                 ~candidates:(Bbng_graph.Combinatorics.Exact (b * (n - 1 - b)))
                 ~current ~limit swap_moves
           in
@@ -338,20 +309,20 @@ let prop_scans_match_reference =
           let improving =
             List.find_opt (fun (m : Best_response.move) -> m.cost < current) exact_moves
           in
-          Best_response.audit_exact ~engine game p player = expect_exact ~limit:max_int
-          && Best_response.audit_swap ~engine game p player = expect_swap ~limit:max_int
+          Best_response.audit_exact game p player = expect_exact ~limit:max_int
+          && Best_response.audit_swap game p player = expect_swap ~limit:max_int
           && limited
-               (fun budget -> Best_response.audit_exact ~budget ~engine game p player)
+               (fun budget -> Best_response.audit_exact ~budget game p player)
                expect_exact
           && limited
-               (fun budget -> Best_response.audit_swap ~budget ~engine game p player)
+               (fun budget -> Best_response.audit_swap ~budget game p player)
                expect_swap
-          && Some (Best_response.exact ~engine game p player) = best
-          && Best_response.best_refutation ~engine game p player
+          && Some (Best_response.exact game p player) = best
+          && Best_response.best_refutation game p player
              = (match best with
                | Some m when m.Best_response.cost < current -> Some (m, current)
                | _ -> None)
-          && Best_response.exact_refutation ~engine game p player
+          && Best_response.exact_refutation game p player
              = Option.map (fun m -> (m, current)) improving)
         Cost.all_versions)
 
@@ -393,8 +364,7 @@ let suite =
     case "swap = exact for unit budgets" test_swap_equals_exact_for_unit_budget;
     case "first improving swap" test_first_improving_swap_improves;
     case "greedy respects budget" test_greedy_respects_budget;
-    case "engines agree and are recorded" test_engines_agree_and_are_recorded;
-    prop_engines_agree_on_random_profiles;
+    case "audits record the budget's engine" test_audits_record_the_budgets_engine;
     prop_swap_never_beats_exact;
     prop_exact_at_most_current;
     prop_greedy_never_beats_exact;

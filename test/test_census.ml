@@ -423,6 +423,47 @@ let test_resume_skips_alien_instance () =
       | Ok (Census.Partial _, _) -> Alcotest.fail "resume degraded"
       | Error e -> Alcotest.fail e)
 
+let test_resume_reads_engine_stamped_rows () =
+  (* checkpoint shard rows once carried an "engine":"auto" provenance
+     field next to "pid"; a checkpoint holding such rows (digest
+     stamped with the field in) must resume to the bytes of a fresh
+     run: the codec ignores fields it does not know *)
+  let game = Game.make Cost.Sum (Budget.unit_budgets 4) in
+  let reference = fresh_path () and path = fresh_path () in
+  Fun.protect
+    ~finally:(fun () ->
+      cleanup reference;
+      cleanup path)
+    (fun () ->
+      ignore
+        (complete_exn
+           (Census.run_sharded ~shard_size:11 ~checkpoint:reference game));
+      let legacy line =
+        match Json.of_string line with
+        | Json.Obj fields when Json.str_field "row" (Json.Obj fields) = Some "shard" ->
+            let bare =
+              List.filter (fun (k, _) -> k <> "digest") fields
+              @ [ ("pid", Json.Int 4242); ("engine", Json.Str "auto") ]
+            in
+            let digest = Digest.to_hex (Digest.string (Json.to_string (Json.Obj bare))) in
+            Some (Json.to_string (Json.Obj (bare @ [ ("digest", Json.Str digest) ])))
+        | j when Json.str_field "row" j = Some "plan" -> Some line
+        | _ -> None
+      in
+      (* the plan row and the first half of the shard rows, so the
+         resume both adopts legacy rows and scans the rest *)
+      let rows = List.filter_map legacy (read_lines reference) in
+      let kept = List.filteri (fun i _ -> i <= (List.length rows - 1) / 2) rows in
+      check_true "legacy shard rows kept" (List.length kept >= 2);
+      write_lines (Atomic_io.partial_path path) kept;
+      match Census.resume path with
+      | Ok (Census.Complete _, skipped) ->
+          check_int "legacy rows are not damage" 0 skipped;
+          Alcotest.(check string)
+            "byte-identical to a fresh run" (read_bytes reference) (read_bytes path)
+      | Ok (Census.Partial _, _) -> Alcotest.fail "resume degraded"
+      | Error e -> Alcotest.fail e)
+
 let test_resume_missing () =
   let path = fresh_path () in
   check_true "missing file is a typed error"
@@ -561,6 +602,8 @@ let suite =
     prop_resume_survives_torn_tail;
     slow_case "duplicate shard rows dedup" test_resume_dedups_duplicate_shards;
     slow_case "alien instance rows skipped" test_resume_skips_alien_instance;
+    slow_case "engine-stamped checkpoint rows resume"
+      test_resume_reads_engine_stamped_rows;
     case "resume missing file" test_resume_missing;
     slow_case "worker drains a checkpoint" test_work_single_process;
     case "worker needs a plan" test_work_needs_a_plan;

@@ -141,39 +141,45 @@ let test_verify_accepts_honest_certs () =
     ]
 
 let test_cross_engine_round_trip () =
-  (* a certificate produced by either engine records it, survives the
-     artifact round trip, and passes the verifier — which re-prices
-     every recorded move through the *other* engine *)
+  (* each audit records the engine its player's budget picked (rows at
+     b >= 2, the overlay BFS otherwise), survives the artifact round
+     trip, and passes the verifier — which re-prices every recorded
+     move through the *other* engine.  The tripod's budgets are mixed
+     (2 and 0) and it is an equilibrium, so its certificate carries
+     exhaustive scans from both engines and runs both verifier
+     branches. *)
+  let rule p player =
+    if Array.length (Strategy.strategy p player) >= 2 then Deviation_eval.Rows
+    else Deviation_eval.Bfs_overlay
+  in
   List.iter
-    (fun engine ->
+    (fun (version, p) ->
+      let cert = cert_of version p in
       List.iter
-        (fun (version, p) ->
-          let cert =
-            Equilibrium.certify_cert
-              ~engine:(Deviation_eval.Fixed engine)
-              (game version (Strategy.budgets p))
-              p
-          in
-          List.iter
-            (fun (_, a) ->
-              check_true "engine recorded" (a.Best_response.engine = engine))
-            cert.Equilibrium.cert_evidence;
-          (match
-             Equilibrium.certificate_of_artifact
-               (Equilibrium.certificate_to_artifact cert)
-           with
-          | Ok cert' ->
-              check_true "round trip keeps engine and candidates"
-                (same_cert cert cert')
-          | Error msg -> Alcotest.failf "round trip: %s" msg);
-          match Equilibrium.verify_certificate cert with
-          | Ok () -> ()
-          | Error msg ->
-              Alcotest.failf "%s cert rejected: %s"
-                (Deviation_eval.engine_name engine)
-                msg)
-        [ (Cost.Max, tripod2); (Cost.Sum, sun8); (Cost.Max, path3) ])
-    [ Deviation_eval.Bfs_overlay; Deviation_eval.Rows ]
+        (fun (player, a) ->
+          check_true "engine recorded" (a.Best_response.engine = rule p player))
+        cert.Equilibrium.cert_evidence;
+      (match
+         Equilibrium.certificate_of_artifact
+           (Equilibrium.certificate_to_artifact cert)
+       with
+      | Ok cert' ->
+          check_true "round trip keeps engine and candidates"
+            (same_cert cert cert')
+      | Error msg -> Alcotest.failf "round trip: %s" msg);
+      match Equilibrium.verify_certificate cert with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "certificate rejected: %s" msg)
+    [ (Cost.Max, tripod2); (Cost.Sum, sun8); (Cost.Max, path3) ];
+  let scanned_by engine =
+    List.exists
+      (fun (_, a) ->
+        a.Best_response.engine = engine
+        && a.Best_response.tier = Best_response.Exhaustive)
+      (cert_of Cost.Max tripod2).Equilibrium.cert_evidence
+  in
+  check_true "tripod: rows evidence" (scanned_by Deviation_eval.Rows);
+  check_true "tripod: overlay evidence" (scanned_by Deviation_eval.Bfs_overlay)
 
 (* every recorded number is load-bearing: corrupting any of them must
    flip the verifier to Error *)
@@ -309,7 +315,8 @@ let test_golden_certificates_recertify () =
   (* every committed golden certificate is reproduced by certifying its
      profile again in its mode: the same evidence, player for player.
      Certificates written before audits recorded their engine read
-     back as overlay-priced, so those are re-certified on that engine *)
+     back as overlay-priced whatever engine priced them, so their
+     engine fields are not compared *)
   let dir = "golden" in
   let files =
     List.filter
@@ -317,6 +324,15 @@ let test_golden_certificates_recertify () =
       (List.sort compare (Array.to_list (Sys.readdir dir)))
   in
   check_true "golden certificates present" (List.length files >= 5);
+  let without_engines c =
+    {
+      c with
+      Equilibrium.cert_evidence =
+        List.map
+          (fun (p, a) -> (p, { a with Best_response.engine = Deviation_eval.Bfs_overlay }))
+          c.Equilibrium.cert_evidence;
+    }
+  in
   List.iter
     (fun f ->
       let path = Filename.concat dir f in
@@ -329,18 +345,18 @@ let test_golden_certificates_recertify () =
             | Some (Json.List (first :: _)) -> Json.member "engine" first <> None
             | _ -> false
           in
-          let engine =
-            if records_engine then None
-            else Some (Deviation_eval.Fixed Deviation_eval.Bfs_overlay)
-          in
           let p = golden.Equilibrium.cert_profile in
           let g = game golden.Equilibrium.cert_version (Strategy.budgets p) in
           let fresh =
             match golden.Equilibrium.cert_mode with
-            | Equilibrium.Exact_mode -> Equilibrium.certify_cert ?engine g p
-            | Equilibrium.Swap_mode -> Equilibrium.certify_swap_cert ?engine g p
+            | Equilibrium.Exact_mode -> Equilibrium.certify_cert g p
+            | Equilibrium.Swap_mode -> Equilibrium.certify_swap_cert g p
           in
-          check_true (f ^ ": re-certified evidence equals the golden") (same_cert golden fresh))
+          let same =
+            if records_engine then same_cert golden fresh
+            else same_cert (without_engines golden) (without_engines fresh)
+          in
+          check_true (f ^ ": re-certified evidence equals the golden") same)
     files
 
 let suite =

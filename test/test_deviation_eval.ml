@@ -83,12 +83,11 @@ let test_validation () =
 
 (* --- the distance-row engine --- *)
 
-let fixed e = Deviation_eval.Fixed e
 let rows_of ?budget ?row_cache_cap version p player =
-  Deviation_eval.make ?budget ?row_cache_cap
-    ~engine:(fixed Deviation_eval.Rows) version p ~player
+  Deviation_eval.make ?budget ?row_cache_cap ~engine:Deviation_eval.Rows
+    version p ~player
 let bfs_of version p player =
-  Deviation_eval.make ~engine:(fixed Deviation_eval.Bfs_overlay) version p ~player
+  Deviation_eval.make ~engine:Deviation_eval.Bfs_overlay version p ~player
 
 let test_engine_names () =
   List.iter
@@ -96,30 +95,28 @@ let test_engine_names () =
       check_true "engine name round trip"
         (Deviation_eval.engine_of_name (Deviation_eval.engine_name e) = Some e))
     [ Deviation_eval.Bfs_overlay; Deviation_eval.Rows ];
-  check_true "auto round trip"
-    (Deviation_eval.choice_of_name "auto" = Some Deviation_eval.Auto);
-  check_true "fixed round trip"
-    (Deviation_eval.choice_of_name "rows"
-    = Some (fixed Deviation_eval.Rows));
-  check_true "unknown rejected" (Deviation_eval.choice_of_name "fast" = None)
+  check_true "unknown rejected" (Deviation_eval.engine_of_name "auto" = None)
 
 let test_engine_resolution () =
-  (* Auto picks rows only once a scan can reuse rows across candidates,
-     i.e. player budget >= 2; Fixed always wins *)
+  (* the budget picks rows only once a scan can reuse rows across
+     candidates, i.e. player budget >= 2; a forced engine wins at
+     [make], and [reset] re-applies the rule *)
   let b = Budget.of_list [ 2; 1; 0; 0 ] in
   let p = Strategy.make b [| [| 1; 2 |]; [| 0 |]; [||]; [||] |] in
   let engine_of ?engine player =
     Deviation_eval.engine (Deviation_eval.make ?engine Cost.Sum p ~player)
   in
-  check_true "auto at b=2 is rows"
-    (engine_of ~engine:Deviation_eval.Auto 0 = Deviation_eval.Rows);
-  check_true "auto at b=1 is bfs"
-    (engine_of ~engine:Deviation_eval.Auto 1 = Deviation_eval.Bfs_overlay);
-  check_true "fixed bfs wins at b=2"
-    (engine_of ~engine:(fixed Deviation_eval.Bfs_overlay) 0
-    = Deviation_eval.Bfs_overlay);
-  check_true "fixed rows wins at b=1"
-    (engine_of ~engine:(fixed Deviation_eval.Rows) 1 = Deviation_eval.Rows)
+  check_true "b=2 is rows" (engine_of 0 = Deviation_eval.Rows);
+  check_true "b=1 is bfs" (engine_of 1 = Deviation_eval.Bfs_overlay);
+  check_true "b=0 is bfs" (engine_of 2 = Deviation_eval.Bfs_overlay);
+  check_true "forced bfs wins at b=2"
+    (engine_of ~engine:Deviation_eval.Bfs_overlay 0 = Deviation_eval.Bfs_overlay);
+  check_true "forced rows wins at b=1"
+    (engine_of ~engine:Deviation_eval.Rows 1 = Deviation_eval.Rows);
+  let c = rows_of Cost.Sum p 1 in
+  Deviation_eval.reset c Cost.Sum p ~player:1;
+  check_true "reset follows the rule"
+    (Deviation_eval.engine c = Deviation_eval.Bfs_overlay)
 
 let test_duplicate_target_rejected () =
   (* a duplicate under-spends the budget while pricing as if legal:
@@ -234,10 +231,10 @@ let all_candidates n player b =
 
 let prop_reset_equals_fresh =
   (* one context re-seated through a random sequence of (profile,
-     player, engine) triples — across growing and shrinking n, after
+     player) pairs — across growing and shrinking n, after
      row evictions under a cap of 1, and after a scan cut short by an
      expired token — prices every candidate exactly like a fresh
-     [make] on the same triple *)
+     [make] on the same pair *)
   let module Budgeted = Bbng_obs.Budgeted in
   qcheck ~count:100 "reset context == fresh make"
     QCheck.(make ~print:string_of_int Gen.(int_range 0 100_000))
@@ -252,26 +249,27 @@ let prop_reset_equals_fresh =
           let p = Strategy.random st b in
           let player = Random.State.int st n in
           let version = if Random.State.bool st then Cost.Sum else Cost.Max in
-          let engine =
-            match Random.State.int st 3 with
-            | 0 -> Deviation_eval.Auto
-            | 1 -> fixed Deviation_eval.Rows
-            | _ -> fixed Deviation_eval.Bfs_overlay
-          in
           let row_cache_cap = if Random.State.bool st then Some 1 else None in
-          let ctx =
+          let ctx, fresh =
             match !reused with
             | None ->
+                (* the first triple may force an engine; every reset
+                   follows the budget rule *)
+                let engine =
+                  match Random.State.int st 3 with
+                  | 0 -> None
+                  | 1 -> Some Deviation_eval.Rows
+                  | _ -> Some Deviation_eval.Bfs_overlay
+                in
                 let c =
-                  Deviation_eval.make ~engine ?row_cache_cap version p ~player
+                  Deviation_eval.make ?engine ?row_cache_cap version p ~player
                 in
                 reused := Some c;
-                c
+                (c, Deviation_eval.make ?engine version p ~player)
             | Some c ->
-                Deviation_eval.reset ~engine ?row_cache_cap c version p ~player;
-                c
+                Deviation_eval.reset ?row_cache_cap c version p ~player;
+                (c, Deviation_eval.make version p ~player)
           in
-          let fresh = Deviation_eval.make ~engine version p ~player in
           let candidates = all_candidates n player (Budget.get b player) in
           let agree =
             Deviation_eval.engine ctx = Deviation_eval.engine fresh
@@ -299,16 +297,19 @@ let test_release_then_reset () =
   let fresh = rows_of Cost.Sum p 0 in
   ignore (Deviation_eval.cost c [| 1; 2 |]);
   Deviation_eval.release c;
-  Deviation_eval.reset ~engine:(fixed Deviation_eval.Rows) c Cost.Sum p ~player:0;
+  Deviation_eval.reset c Cost.Sum p ~player:0;
   let built0 = Bbng_obs.Counter.find "deveval.rows_built" in
   check_int "same price" (Deviation_eval.cost fresh [| 1; 2 |])
     (Deviation_eval.cost c [| 1; 2 |]);
   check_true "rows were rebuilt after release"
     (Bbng_obs.Counter.find "deveval.rows_built" > built0);
-  check_true "bad player rejected"
-    (match Deviation_eval.reset c Cost.Sum p ~player:(Strategy.n p) with
-    | exception Invalid_argument _ -> true
-    | () -> false)
+  (* a rejected reset names itself and counts no context *)
+  let contexts0 = Bbng_obs.Counter.find "deveval.contexts" in
+  Alcotest.check_raises "bad player rejected"
+    (Invalid_argument "Deviation_eval.reset: bad player") (fun () ->
+      Deviation_eval.reset c Cost.Sum p ~player:(Strategy.n p));
+  check_int "rejected reset counts no context" contexts0
+    (Bbng_obs.Counter.find "deveval.contexts")
 
 (* --- row layouts: level bitsets across word boundaries, int rows on
    deep graphs --- *)
@@ -497,12 +498,12 @@ let test_reset_shallow_deep_shallow () =
   (* one context re-seated shallow -> deep -> shallow switches layout
      each time and prices like a fresh context throughout *)
   let shallow = Strategy.random (rng 3) (Budget.uniform ~n:124 ~budget:2) in
-  let deep = path_profile 64 in
+  let deep = circulant ~n:200 ~b:2 in
   let st = rng 4 in
   let c = rows_of Cost.Sum shallow 0 in
   List.iter
     (fun (name, version, p, player, layout) ->
-      Deviation_eval.reset ~engine:(fixed Deviation_eval.Rows) c version p ~player;
+      Deviation_eval.reset c version p ~player;
       let fresh = rows_of version p player in
       let n = Strategy.n p in
       for _ = 1 to 200 do
@@ -563,21 +564,20 @@ let prop_cost_below_contract =
           let version = if Random.State.bool st then Cost.Sum else Cost.Max in
           let game = Game.make version (Strategy.budgets p) in
           let row_cache_cap = if Random.State.bool st then Some 1 else None in
-          let engine =
-            if Random.State.int st 4 = 0 then Deviation_eval.Auto
-            else fixed Deviation_eval.Rows
-          in
+          let b = Budget.get (Strategy.budgets p) player in
+          (* [reset] follows the budget rule; half the players it would
+             price on the overlay get a fresh forced-rows context
+             instead, so rows bounds stay covered at b <= 1 *)
           let ctx =
             match !reused with
-            | Some c ->
-                Deviation_eval.reset ~engine ?row_cache_cap c version p ~player;
+            | Some c when b >= 2 || Random.State.bool st ->
+                Deviation_eval.reset ?row_cache_cap c version p ~player;
                 c
-            | None ->
-                let c = Deviation_eval.make ~engine ?row_cache_cap version p ~player in
+            | _ ->
+                let c = rows_of ?row_cache_cap version p player in
                 reused := Some c;
                 c
           in
-          let b = Budget.get (Strategy.budgets p) player in
           let draw () = Strategy.strategy (Strategy.random st (Strategy.budgets p)) player in
           let candidates =
             List.concat_map
@@ -691,10 +691,9 @@ let test_work_limit_stops_at_pinned_candidate () =
     (fun (name, version, p, player, layout, expected) ->
       let game = Game.make version (Strategy.budgets p) in
       let budget = Budgeted.create ~work_limit:200_000 () in
-      let a =
-        Best_response.audit_exact ~budget ~engine:(fixed Deviation_eval.Rows)
-          game p player
-      in
+      let a = Best_response.audit_exact ~budget game p player in
+      check_true (name ^ ": priced on rows")
+        (a.Best_response.engine = Deviation_eval.Rows);
       check_true (name ^ ": degraded")
         (a.Best_response.tier = Best_response.Degraded_scan);
       check_int (name ^ ": scanned") expected a.Best_response.scanned;
