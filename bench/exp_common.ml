@@ -92,7 +92,7 @@ let certify_scaled ?(exact_limit = 400_000_000) ?(swap_limit = 300_000_000)
     let ok = ref true in
     let player = ref 0 in
     while !ok && !player < n do
-      if Best_response.first_improving_swap game profile !player <> None then
+      if Best_response.swap_refutation game profile !player <> None then
         ok := false;
       player := !player + step
     done;

@@ -83,7 +83,7 @@ let figure2 () =
   in
   for v = 0 to Tripod.n_of_k k - 1 do
     let cost = Game.player_cost game p v in
-    let is_best = Best_response.exact_improvement game p v = None in
+    let is_best = Best_response.exact_refutation game p v = None in
     Table.add_row t
       [ string_of_int v; role v;
         string_of_int (Budget.get (Strategy.budgets p) v);

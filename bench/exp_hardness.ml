@@ -69,7 +69,7 @@ let exponential_scaling () =
       in
       let _, swap_t =
         time_it (fun () ->
-            Best_response.swap_best inst.Reduction.game inst.Reduction.profile
+            Best_response.swap_best_refutation inst.Reduction.game inst.Reduction.profile
               inst.Reduction.new_player)
       in
       Table.add_row t

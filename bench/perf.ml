@@ -80,7 +80,7 @@ let workloads =
     ("sum-cost-gnp200", fun () -> ignore (Cost.vertex_cost Cost.Sum gnp200 0));
     ( "connectivity-grid8x8",
       fun () -> ignore (Bbng_graph.Connectivity.vertex_connectivity grid) );
-    ("swap-br-sun30", fun () -> ignore (Best_response.swap_best sun_game sun30 5));
+    ("swap-br-sun30", fun () -> ignore (Best_response.swap_best_refutation sun_game sun30 5));
     ( "certify-tripod-k8",
       fun () -> ignore (Equilibrium.is_nash tripod_game tripod8) );
     ("realize-sun30", fun () -> ignore (Strategy.underlying sun30));

@@ -294,4 +294,20 @@ rc=0
 grep -q "budgets must look like" bad15.err \
   || fail "opt -b 1,x lost the budget shape hint"
 
+echo "== 16. a raise inside a two-domain census: exit 5, the checkpoint resumes =="
+# the raising worker stops further claims and every domain is joined
+# before the fault maps to exit 5; the checkpoint holds whole rows only
+# and resumes to stage 12's reference bytes
+mkdir census16
+rc=0
+(cd census16 && "$CLI" census -b 1,1,1,1,1 --shard-size 50 --domains 2 \
+  --out CEN.jsonl --fault census.checkpoint@raise@4) > /dev/null 2>&1 || rc=$?
+[ "$rc" = 5 ] || fail "raise inside a two-domain census exited $rc, expected 5"
+[ -e census16/CEN.jsonl ] && fail "raising census committed a final artifact"
+[ -s census16/CEN.jsonl.partial ] || fail "raising census left no checkpoint"
+(cd census16 && "$CLI" census --resume CEN.jsonl.partial > /dev/null) \
+  || fail "checkpoint of the raising census does not resume"
+cmp -s census12/CEN.jsonl census16/CEN.jsonl \
+  || fail "raise+resume census is not byte-identical to the uninterrupted run"
+
 echo "fault-smoke: all green"

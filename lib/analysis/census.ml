@@ -587,7 +587,7 @@ let continue_plan ?domains ~budget ?checkpoint game plan ~prior ~ensure_plan_row
         List.iter
           (fun r -> Obs.Progress.step ~n:(r.shard.hi - r.shard.lo) progress)
           prior;
-        Parallel.map_dynamic ?domains ~n:(Array.length pending) (fun i ->
+        Parallel.map ?domains ~n:(Array.length pending) (fun i ->
             match scan_shard ~budget ~progress game pending.(i) with
             | None -> None
             | Some r ->

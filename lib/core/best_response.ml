@@ -1,5 +1,3 @@
-module Digraph = Bbng_graph.Digraph
-module Undirected = Bbng_graph.Undirected
 module Combinatorics = Bbng_graph.Combinatorics
 
 type move = { targets : int array; cost : int }
@@ -17,16 +15,17 @@ let h_candidates = Bbng_obs.Metrics.histogram "br.candidates_per_search"
 
 (* All evaluators share one incremental evaluation context: the static
    part of the graph is materialized once and each candidate strategy
-   costs a single overlay BFS (see Deviation_eval). *)
+   costs a single overlay BFS (see Deviation_eval).  The candidate walk
+   leaves its tally in the two mutable fields. *)
 type context = {
-  game : Game.t;
   profile : Strategy.t;
   player : int;
   eval_ctx : Deviation_eval.t;
   budget : int;
-  in_degree : int;
   floor : int;              (* Lemma 2.2 cost floor *)
   current_cost : int;
+  mutable scanned : int;    (* candidates the walk priced *)
+  mutable kept : move option;  (* cheapest candidate the walk kept *)
 }
 
 (* One parked evaluation context per domain, like [Csr.snapshot]'s
@@ -91,14 +90,14 @@ let with_context ?(scan_budget = Bbng_obs.Budgeted.unlimited) game profile
     Deviation_eval.set_budget eval_ctx scan_budget;
     f
       {
-        game;
         profile;
         player;
         eval_ctx;
         budget;
-        in_degree = !in_degree;
         floor;
         current_cost;
+        scanned = 0;
+        kept = None;
       }
   with
   | r ->
@@ -190,161 +189,6 @@ let satisfies_lemma_2_2 profile player =
     !all
   end
 
-(* A kept move escapes the scan's reused buffer as a sorted copy. *)
-let sorted_copy targets =
-  let a = Array.copy targets in
-  Array.sort Int.compare a;
-  a
-
-let exact ?budget game profile player =
-  with_context ?scan_budget:budget game profile player @@ fun ctx ->
-  let m = Game.n game - 1 and k = ctx.budget in
-  assert (k <= m);
-  (* each candidate is priced against the cheapest so far, so a tie
-     keeps the earlier, lexicographically smaller set; the scan stops
-     once the best reaches the floor *)
-  let c = Array.init k Fun.id and buf = Array.make k 0 in
-  let best = Array.make k 0 and best_cost = ref max_int in
-  let continue = ref true in
-  while !continue do
-    unshift_into buf player c;
-    let cost = eval ctx ~bound:!best_cost buf in
-    if cost < !best_cost then begin
-      best_cost := cost;
-      Array.blit buf 0 best 0 k
-    end;
-    continue := !best_cost > ctx.floor && Combinatorics.next_combination ~n:m c
-  done;
-  { targets = best; cost = !best_cost }
-
-let record_search_size evals =
-  if Bbng_obs.Span.enabled () then Bbng_obs.Metrics.observe h_candidates evals
-
-let scan_for_improvement ctx ~stop_at_first =
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    record_search_size 0;
-    None
-  end
-  else if satisfies_lemma_2_2 ctx.profile ctx.player then begin
-    Bbng_obs.Counter.bump c_pruned_lemma;
-    record_search_size 0;
-    None
-  end
-  else begin
-    (* a plain odometer loop rather than [iter_combinations] and an
-       exception: no closure, and the refs stay unboxed *)
-    let m = Game.n ctx.game - 1 and k = ctx.budget in
-    let best = ref None in
-    let evals = ref 0 in
-    if k <= m then begin
-      let c = Array.init k Fun.id in
-      let buf = Array.make k 0 in
-      let continue = ref true in
-      while !continue do
-        unshift_into buf ctx.player c;
-        incr evals;
-        (* only a candidate cheaper than the current strategy and than
-           the best improvement so far can change the answer *)
-        let bound =
-          match !best with None -> ctx.current_cost | Some b -> b.cost
-        in
-        let cost = eval ctx ~bound buf in
-        if cost < bound then begin
-          Bbng_obs.Counter.bump c_improving;
-          best := Some { targets = Array.copy buf; cost };
-          if stop_at_first || cost <= ctx.floor then continue := false
-        end;
-        if !continue then continue := Combinatorics.next_combination ~n:m c
-      done
-    end;
-    record_search_size !evals;
-    !best
-  end
-
-(* The refutation variants hand back the current cost the context
-   already priced, so a certifier reporting "improves c -> c'" never
-   re-prices the profile through the generic route. *)
-let with_current ctx = function
-  | Some m -> Some (m, ctx.current_cost)
-  | None -> None
-
-let exact_refutation ?budget game profile player =
-  with_context ?scan_budget:budget game profile player @@ fun ctx ->
-  with_current ctx (scan_for_improvement ctx ~stop_at_first:true)
-
-let exact_improvement ?budget game profile player =
-  Option.map fst (exact_refutation ?budget game profile player)
-
-let best_refutation ?budget game profile player =
-  with_context ?scan_budget:budget game profile player @@ fun ctx ->
-  with_current ctx (scan_for_improvement ctx ~stop_at_first:false)
-
-let best_improvement ?budget game profile player =
-  Option.map fst (best_refutation ?budget game profile player)
-
-(* Every single-arc swap: drop each owned arc in turn and try every
-   replacement target neither owned nor the player, in increasing
-   order.  [f] gets one reused buffer holding the kept arcs first and
-   the replacement last, so consecutive candidates share everything
-   but their last target (the pricing kernel's prefix). *)
-let iter_swaps ctx f =
-  let owned = Strategy.strategy ctx.profile ctx.player in
-  let n = Game.n ctx.game and b = Array.length owned in
-  let buf = Array.make b 0 in
-  for drop = 0 to b - 1 do
-    Array.blit owned 0 buf 0 drop;
-    Array.blit owned (drop + 1) buf drop (b - 1 - drop);
-    for v = 0 to n - 1 do
-      if v <> ctx.player && not (Array.mem v owned) then begin
-        buf.(b - 1) <- v;
-        f buf
-      end
-    done
-  done
-
-let swap_scan ctx ~stop_at_first =
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    record_search_size 0;
-    None
-  end
-  else begin
-    let best = ref None in
-    let evals = ref 0 in
-    (try
-       iter_swaps ctx (fun targets ->
-           incr evals;
-           let bound =
-             match !best with None -> ctx.current_cost | Some m -> m.cost
-           in
-           let cost = eval ctx ~bound targets in
-           if cost < bound then begin
-             Bbng_obs.Counter.bump c_improving;
-             best := Some { targets = sorted_copy targets; cost };
-             if stop_at_first then raise Exit
-           end)
-     with Exit -> ());
-    record_search_size !evals;
-    !best
-  end
-
-let swap_best_refutation ?budget game profile player =
-  with_context ?scan_budget:budget game profile player @@ fun ctx ->
-  with_current ctx (swap_scan ctx ~stop_at_first:false)
-
-let swap_best ?budget game profile player =
-  Option.map fst (swap_best_refutation ?budget game profile player)
-
-let swap_refutation ?budget game profile player =
-  with_context ?scan_budget:budget game profile player @@ fun ctx ->
-  with_current ctx (swap_scan ctx ~stop_at_first:true)
-
-let first_improving_swap ?budget game profile player =
-  Option.map fst (swap_refutation ?budget game profile player)
-
-(* --- audited checks: the same ladder, with evidence --- *)
-
 type tier =
   | Cost_floor
   | Lemma_2_2_tier
@@ -367,6 +211,164 @@ let tier_of_name = function
   | "degraded" -> Some Degraded_scan
   | _ -> None
 
+(* --- the candidate walk --- *)
+
+(* The two candidate spaces.  Subsets are the C(n-1, b) strategies in
+   lexicographic order; swaps drop each owned arc in turn and try every
+   replacement target neither owned nor the player, increasing.  A swap
+   candidate holds the kept arcs first and the replacement last, so
+   consecutive candidates share everything but their last target (the
+   pricing kernel's prefix). *)
+type space = Subsets | Swaps
+
+let space_size ctx space =
+  let n = Strategy.n ctx.profile and b = ctx.budget in
+  match space with
+  | Subsets -> Combinatorics.binomial (n - 1) b
+  | Swaps -> Combinatorics.Exact (b * (n - 1 - b))
+
+(* [cur] is the walk's cursor: a combination of {0..m-1} for subsets,
+   [| dropped arc; replacement |] for swaps, where [m = n - 1] is the
+   number of possible targets.  [advance] steps [cur] to the next
+   candidate and writes that candidate into [buf], false once the space
+   is exhausted. *)
+let advance ctx space ~m cur buf =
+  match space with
+  | Subsets ->
+      Combinatorics.next_combination ~n:m cur
+      && (unshift_into buf ctx.player cur;
+          true)
+  | Swaps ->
+      let owned = Strategy.strategy ctx.profile ctx.player in
+      let v = ref (cur.(1) + 1) and found = ref false in
+      while (not !found) && cur.(0) < Array.length owned do
+        if !v > m then begin
+          cur.(0) <- cur.(0) + 1;
+          v := 0
+        end
+        else if !v = ctx.player || Array.mem !v owned then incr v
+        else found := true
+      done;
+      cur.(1) <- !v;
+      if !found then begin
+        let b = Array.length owned and drop = cur.(0) in
+        Array.blit owned 0 buf 0 drop;
+        Array.blit owned (drop + 1) buf drop (b - 1 - drop);
+        buf.(b - 1) <- !v
+      end;
+      !found
+
+(* The one candidate walk behind every search but [greedy].  Each
+   candidate is priced against [min cap (cheapest kept so far)] and
+   kept when it is below that, so ties keep the earlier candidate; the
+   walk ends once a kept cost is below [stop].  A kept candidate
+   cheaper than the current cost is an improving move.  Nothing is
+   allocated per candidate: the candidate lives in one reused buffer,
+   and the kept one in a second buffer made at the first keep.  The
+   tally lands in [ctx.scanned] and [ctx.kept] (a swap is kept
+   sorted).  With [~degrade] an expired token ends the walk as a
+   [Degraded_scan] (the refused candidate was never priced nor
+   counted); otherwise [Budgeted.Expired] propagates. *)
+let walk ctx space ~cap ~stop ~degrade =
+  let k = ctx.budget and m = Strategy.n ctx.profile - 1 in
+  let buf = Array.make k 0 in
+  let cur, first =
+    match space with
+    | Subsets ->
+        let cur = Array.init k Fun.id in
+        if k <= m then unshift_into buf ctx.player cur;
+        (cur, k <= m)
+    | Swaps ->
+        let cur = [| 0; -1 |] in
+        (cur, advance ctx space ~m cur buf)
+  in
+  let best = ref [||] and best_cost = ref cap and scanned = ref 0 in
+  let more = ref first in
+  let tier =
+    match
+      while !more do
+        let cost = eval ctx ~bound:!best_cost buf in
+        incr scanned;
+        if cost < !best_cost then begin
+          if cost < ctx.current_cost then Bbng_obs.Counter.bump c_improving;
+          best_cost := cost;
+          (* the first keep makes the buffer (an empty candidate needs
+             none) *)
+          if Array.length !best = 0 then best := Array.copy buf
+          else Array.blit buf 0 !best 0 k
+        end;
+        more := !best_cost >= stop && advance ctx space ~m cur buf
+      done
+    with
+    | () -> ( match space with Subsets -> Exhaustive | Swaps -> Swap_exhaustive)
+    | exception Bbng_obs.Budgeted.Expired when degrade ->
+        Bbng_obs.Counter.bump c_degraded;
+        Degraded_scan
+  in
+  ctx.scanned <- !scanned;
+  if !best_cost < cap then begin
+    (match space with Subsets -> () | Swaps -> Array.sort Int.compare !best);
+    ctx.kept <- Some { targets = !best; cost = !best_cost }
+  end;
+  tier
+
+let record_search_size evals =
+  if Bbng_obs.Span.enabled () then Bbng_obs.Metrics.observe h_candidates evals
+
+(* The pruning ladder every search but [exact] climbs: the cost floor,
+   then Lemma 2.2 (exact best responses only), then the walk. *)
+let ladder ctx space ~cap ~stop ~degrade =
+  let tier =
+    if ctx.current_cost <= ctx.floor then begin
+      Bbng_obs.Counter.bump c_pruned_floor;
+      Cost_floor
+    end
+    else if
+      space = Subsets && satisfies_lemma_2_2 ctx.profile ctx.player
+    then begin
+      Bbng_obs.Counter.bump c_pruned_lemma;
+      Lemma_2_2_tier
+    end
+    else walk ctx space ~cap ~stop ~degrade
+  in
+  record_search_size ctx.scanned;
+  tier
+
+let exact ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
+  ignore (walk ctx Subsets ~cap:max_int ~stop:(ctx.floor + 1) ~degrade:false : tier);
+  Option.get ctx.kept
+
+(* A refutation is an improving move paired with the current cost the
+   context already priced, so a certifier reporting "improves c -> c'"
+   never re-prices the profile through the generic route.  Each search
+   below hands [with_context] a closure with no free variables, so no
+   search allocates one. *)
+let refute ctx space ~stop =
+  ignore (ladder ctx space ~cap:ctx.current_cost ~stop ~degrade:false : tier);
+  match ctx.kept with Some m -> Some (m, ctx.current_cost) | None -> None
+
+let exact_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
+  refute ctx Subsets ~stop:ctx.current_cost
+
+let best_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
+  refute ctx Subsets ~stop:(ctx.floor + 1)
+
+let best_improvement ?budget game profile player =
+  Option.map fst (best_refutation ?budget game profile player)
+
+let swap_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
+  refute ctx Swaps ~stop:ctx.current_cost
+
+let swap_best_refutation ?budget game profile player =
+  with_context ?scan_budget:budget game profile player @@ fun ctx ->
+  refute ctx Swaps ~stop:min_int
+
+(* --- audited checks: the same ladder, with evidence --- *)
+
 type audit = {
   tier : tier;
   engine : Deviation_eval.engine;
@@ -377,104 +379,40 @@ type audit = {
   improving : move option;
 }
 
-(* Shared audited scan: walk candidates tracking the global cheapest
-   one (not just improving ones), stopping at the first strict
-   improvement — so a no-improvement audit is a complete scan whose
-   [best] witnesses "nothing beats the current strategy" (the current
-   strategy itself is among the exact-tier candidates, hence
-   [best.cost = current] at an equilibrium), while a refutation audit
-   stops as early as the plain certifier would.  [~candidates] is the
-   size of the space the tier set out to scan — it stays on the audit
-   even when the scan degrades, so a verifier can compare it against
-   its own re-count.  Each candidate is priced against the cheapest so
-   far, so [best] stays exact (ties keep the earlier candidate), and
-   an improving candidate is always below that bound: every earlier
-   one cost at least the current cost, or the scan would have
-   stopped.  [iter_targets] may hand out one reused buffer; a kept
-   move is a sorted copy. *)
-let audit_candidates ctx ~tier ~candidates iter_targets =
-  let best = ref None in
-  let improving = ref None in
-  let scanned = ref 0 in
-  let interrupted = ref false in
-  (try
-     iter_targets (fun targets ->
-         let bound = match !best with None -> max_int | Some m -> m.cost in
-         let cost = eval ctx ~bound targets in
-         incr scanned;
-         if cost < bound then begin
-           let m = { targets = sorted_copy targets; cost } in
-           best := Some m;
-           if cost < ctx.current_cost then begin
-             Bbng_obs.Counter.bump c_improving;
-             improving := Some m;
-             raise Exit
-           end
-         end)
-   with
-  | Exit -> ()
-  | Bbng_obs.Budgeted.Expired ->
-      (* the raising candidate was never priced nor counted; [best] is
-         the cheapest of what was *)
-      interrupted := true;
-      Bbng_obs.Counter.bump c_degraded);
-  record_search_size !scanned;
-  {
-    tier = (if !interrupted then Degraded_scan else tier);
-    engine = Deviation_eval.engine ctx.eval_ctx;
-    scanned = !scanned;
-    candidates;
-    current = ctx.current_cost;
-    best = !best;
-    (* a found improvement always escapes via Exit before any further
-       eval, so an interrupted scan has [improving = None] by
-       construction *)
-    improving = !improving;
-  }
-
-let pruned_audit ctx tier =
-  record_search_size 0;
+(* An audit keeps the cheapest candidate of all (not just improving
+   ones) and stops at the first improvement, so a no-improvement audit
+   is a complete scan whose [best] witnesses "nothing beats the current
+   strategy", while a refutation audit stops as early as the plain
+   certifier would.  [candidates] is the size of the space the tier set
+   out to scan — it stays on the audit even when the scan degrades, so
+   a verifier can compare it against its own re-count. *)
+let audit ctx space =
+  let tier = ladder ctx space ~cap:max_int ~stop:ctx.current_cost ~degrade:true in
   {
     tier;
     engine = Deviation_eval.engine ctx.eval_ctx;
-    scanned = 0;
-    candidates = Combinatorics.Exact 0;
+    scanned = ctx.scanned;
+    candidates =
+      (match tier with
+      | Cost_floor | Lemma_2_2_tier -> Combinatorics.Exact 0
+      | Exhaustive | Swap_exhaustive | Degraded_scan -> space_size ctx space);
     current = ctx.current_cost;
-    best = None;
-    improving = None;
+    best = ctx.kept;
+    (* the walk stops at the first improving keep, so a degraded audit
+       has none *)
+    improving =
+      (match ctx.kept with
+      | Some m when m.cost < ctx.current_cost -> ctx.kept
+      | Some _ | None -> None);
   }
 
 let audit_exact ?budget game profile player =
   with_context ?scan_budget:budget game profile player @@ fun ctx ->
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    pruned_audit ctx Cost_floor
-  end
-  else if satisfies_lemma_2_2 ctx.profile ctx.player then begin
-    Bbng_obs.Counter.bump c_pruned_lemma;
-    pruned_audit ctx Lemma_2_2_tier
-  end
-  else
-    let n = Game.n ctx.game in
-    audit_candidates ctx ~tier:Exhaustive
-      ~candidates:(Combinatorics.binomial (n - 1) ctx.budget)
-      (fun f ->
-        let buf = Array.make ctx.budget 0 in
-        Combinatorics.iter_combinations ~n:(n - 1) ~k:ctx.budget (fun c ->
-            unshift_into buf ctx.player c;
-            f buf))
+  audit ctx Subsets
 
 let audit_swap ?budget game profile player =
   with_context ?scan_budget:budget game profile player @@ fun ctx ->
-  if ctx.current_cost <= ctx.floor then begin
-    Bbng_obs.Counter.bump c_pruned_floor;
-    pruned_audit ctx Cost_floor
-  end
-  else
-    let n = Game.n ctx.game in
-    audit_candidates ctx ~tier:Swap_exhaustive
-      ~candidates:(Combinatorics.Exact (ctx.budget * (n - 1 - ctx.budget)))
-      (iter_swaps ctx)
+  audit ctx Swaps
 
 let greedy ?budget game profile player =
   with_context ?scan_budget:budget game profile player @@ fun ctx ->

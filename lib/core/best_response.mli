@@ -4,21 +4,37 @@
     k-center in the MAX version and k-median in the SUM version), so
     this module offers the full ladder:
 
-    - {!exact}: brute force over all [C(n-1, b)] strategies, with the
-      Lemma 2.2 cost-floor short-circuit — the ground truth used by the
-      equilibrium certifier and the hardness experiments;
-    - {!swap_best} / {!first_improving_swap}: the polynomial single-arc
-      deviations of Alon et al., used inside the paper's own proofs
-      (Theorems 3.3, 4.x, 6.x) and as scalable dynamics moves;
+    - {!exact}: brute force over all [C(n-1, b)] strategies — the
+      ground truth used by the equilibrium certifier and the hardness
+      experiments;
+    - {!swap_best_refutation} / {!swap_refutation}: the polynomial
+      single-arc deviations of Alon et al., used inside the paper's own
+      proofs (Theorems 3.3, 4.x, 6.x) and as scalable dynamics moves;
     - {!greedy}: an incremental heuristic (build the target set one arc
       at a time), the workhorse for large dynamics workloads.
+
+    Every search but {!greedy} is one walk over a candidate space
+    (subsets, or single-arc swaps) with two thresholds: each candidate
+    is priced against [min cap (cheapest kept so far)] and kept when it
+    is below that, and the walk ends once a kept cost is below [stop].
+    Before walking, every search but {!exact} climbs the same pruning
+    ladder: the cost floor, then Lemma 2.2 (exact spaces only).
+
+    {v
+    search                              cap            stop
+    exact_refutation, swap_refutation   current cost   current cost
+    best_refutation                     current cost   floor + 1
+    swap_best_refutation                current cost   never
+    exact                               none           floor + 1
+    audit_exact, audit_swap             none           current cost
+    v}
 
     Every search takes an optional {!Bbng_obs.Budgeted.t} cancellation
     token ([?budget], default unlimited).  Context construction and the
     cheap fallback tiers always complete regardless of the token; only
-    the candidate scan honours it.  The plain finders let
+    the candidate walk honours it.  The plain searches let
     {!Bbng_obs.Budgeted.Expired} propagate (their callers own the
-    degradation policy); the audited checks convert interruption into a
+    degradation policy); the audited checks turn interruption into a
     typed {!Degraded_scan} audit instead.
 
     The searched player's budget picks the pricing engine
@@ -27,16 +43,14 @@
     below is engine-independent; audits record which engine priced
     them so a certificate verifier can re-price through the other one.
 
-    Every exhaustive or swap scan prices each candidate against the
-    threshold it must beat ({!Deviation_eval.cost_below}): the current
-    cost, or the best improvement so far, for a refutation or a best
-    improvement; the cheapest candidate so far for {!exact} and the
-    audits.  A candidate at or above its bound can change no answer,
-    so results are those of pricing every candidate exactly; a scan
-    keeps a move (a sorted copy of its reused target buffer) only when
-    its price is below the bound it passed.  The [br.candidates]
-    counter counts every candidate priced, settled or not, and none
-    that a cancellation token refused.
+    Pricing a candidate against its bound ({!Deviation_eval.cost_below})
+    is exact below the bound; a candidate at or above it can change no
+    answer, so results are those of pricing every candidate exactly.  A
+    kept move is a sorted copy of the walk's reused target buffer.  The
+    [br.candidates] counter counts every candidate priced, settled or
+    not, and none that a cancellation token refused;
+    [br.improving_moves] counts every kept candidate cheaper than the
+    current cost.
 
     Searches on one domain reuse one parked pricing context
     ({!Deviation_eval.reset}) instead of building a new one per call;
@@ -63,73 +77,52 @@ val exact :
     the budget.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
-val exact_improvement :
-  ?budget:Bbng_obs.Budgeted.t ->
-  Game.t -> Strategy.t -> int -> move option
-(** [Some m] with [m.cost < current cost] if the player can improve
-    (the search stops at the first strict improvement found after
-    checking the Lemma 2.2 shortcut and the cost floor); [None] iff the
-    player is playing a best response.
-    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
-
 val exact_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> (move * int) option
-(** {!exact_improvement} paired with the player's current cost, as the
-    search already priced it: [Some (m, c)] with [m.cost < c] and [c]
-    equal to [Game.player_cost].  What the certifier reports in a
-    refutation.
+(** [Some (m, c)] if the player can improve: [m] is the first strict
+    improvement found (the walk stops there), paired with the player's
+    current cost [c] as the search already priced it ([m.cost < c], [c]
+    equal to [Game.player_cost]) — what the certifier reports in a
+    refutation.  [None] iff the player is playing a best response.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
 val best_improvement :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> move option
-(** Like {!exact_improvement} but scans everything: the {e best}
-    deviation, or [None] if already optimal.
+(** The {e best} deviation (the first of least cost), or [None] if
+    already optimal: {!best_refutation} without the current cost.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
 val best_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> (move * int) option
-(** {!best_improvement} paired with the player's current cost, as the
-    search already priced it (like {!exact_refutation}): what dynamics
-    needs to apply a move and report its gain without re-pricing the
-    profile.
-    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
-
-val swap_best :
-  ?budget:Bbng_obs.Budgeted.t ->
-  Game.t -> Strategy.t -> int -> move option
-(** Best strict improvement obtainable by replacing exactly one owned
-    arc (keeping the other [b - 1]); [None] if no swap improves.
-    O(b * n) cost evaluations.
+(** Like {!exact_refutation}, but the move is the best deviation (the
+    walk stops early only at the cost floor): what dynamics needs to
+    apply a move and report its gain without re-pricing the profile.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
 val swap_best_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> (move * int) option
-(** {!swap_best} paired with the player's current cost, like
-    {!best_refutation}.
-    @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
-
-val first_improving_swap :
-  ?budget:Bbng_obs.Budgeted.t ->
-  Game.t -> Strategy.t -> int -> move option
-(** First strict improvement by a single swap, scan order: owned arcs
-    increasing, replacement targets increasing.
+(** Best strict improvement obtainable by replacing exactly one owned
+    arc (keeping the other [b - 1]), paired with the current cost like
+    {!best_refutation}; [None] if no swap improves.  O(b * n) cost
+    evaluations.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
 val swap_refutation :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> (move * int) option
-(** {!first_improving_swap} paired with the player's current cost, like
-    {!exact_refutation}.
+(** First strict improvement by a single swap, scan order: owned arcs
+    increasing, replacement targets increasing; paired with the current
+    cost like {!exact_refutation}.
     @raise Bbng_obs.Budgeted.Expired if the token trips mid-scan. *)
 
 (** {1 Audited checks}
 
     The equilibrium certifier's evidence-producing layer: the same
-    pruning ladder as {!exact_improvement} / {!first_improving_swap},
+    pruning ladder as {!exact_refutation} / {!swap_refutation},
     but returning {e what was checked} — which tier decided, how many
     candidates were evaluated, and the cheapest candidate seen — so a
     certificate written to disk can later be re-verified without
@@ -171,7 +164,7 @@ type audit = {
 val audit_exact :
   ?budget:Bbng_obs.Budgeted.t ->
   Game.t -> Strategy.t -> int -> audit
-(** Audited exact check.  Prunes exactly like {!exact_improvement}
+(** Audited exact check.  Prunes exactly like {!exact_refutation}
     (and agrees with it on [improving = None]); when no pruning fires
     and no improvement exists, the scan is complete — [scanned =
     C(n-1,b)] and [best.cost = current] (the current strategy is among

@@ -6,7 +6,7 @@ let c_early_exits = Bbng_obs.Counter.make "equilibrium.early_exits"
 let c_certificates = Bbng_obs.Counter.make "equilibrium.certificates_produced"
 let c_verified = Bbng_obs.Counter.make "equilibrium.certificates_verified"
 
-(* Every per-player best-response check in a certification funnels
+(* Every per-player check — a plain search or an audit — funnels
    through here: one span (coarse enough for the mutex-protected span
    table, even from Parallel domains) and one counter bump.  A census
    closes this span once per scanned player, hundreds of thousands of
@@ -48,22 +48,10 @@ let certify_with refuter game profile =
 let certify game profile = certify_with Best_response.exact_refutation game profile
 let is_nash game profile = certify game profile = Equilibrium
 
-let certify_parallel ?domains game profile =
-  let n = Game.n game in
-  let witness =
-    Parallel.find_map ?domains ~n (fun player ->
-        match check_player Best_response.exact_refutation game profile player with
-        | Some (better, current_cost) ->
-            Some (Refuted { player; better; current_cost })
-        | None -> None)
-  in
-  (match witness with Some _ -> Bbng_obs.Counter.bump c_early_exits | None -> ());
-  match witness with Some v -> v | None -> Equilibrium
-
 let is_nash_parallel ?domains game profile =
   let n = Game.n game in
   Parallel.for_all ?domains ~n (fun player ->
-      check_player Best_response.exact_improvement game profile player = None)
+      check_player Best_response.exact_refutation game profile player = None)
 
 let certify_swap game profile =
   certify_with Best_response.swap_refutation game profile
@@ -124,11 +112,6 @@ let verdict_name = function
   | Refuted _ -> "refuted"
   | Degraded _ -> "degraded"
 
-let audited_player auditor game profile player =
-  Bbng_obs.Counter.bump c_players;
-  Bbng_obs.Span.with_ "equilibrium.certify_player" (fun () ->
-      auditor game profile player)
-
 (* Work-total estimate for a certification's heartbeat: the sum of the
    per-player candidate spaces, saturating — [max_int] reads as
    "unknown" in {!Bbng_obs.Progress}, so a saturated space simply
@@ -177,77 +160,58 @@ let observe_certificate game cert =
   Bbng_obs.Ledger.note_outcome verdict;
   cert
 
-let certify_cert_with ?budget auditor mode game profile =
+(* The evidence of a certification: every player's audit up to and
+   including the lowest-index refutation. *)
+let evidence_upto n audit =
+  let rec scan player acc =
+    if player >= n then List.rev acc
+    else
+      let a = audit player in
+      if a.Best_response.improving <> None then List.rev ((player, a) :: acc)
+      else scan (player + 1) ((player, a) :: acc)
+  in
+  scan 0 []
+
+(* One envelope for every certificate builder: span, counter, progress
+   task and [observe_certificate].  Sequentially, audits run in player
+   order until the first refutation; with [~parallel] every player is
+   audited over domains (each domain builds its own evaluation context,
+   so nothing of the distance-row cache crosses domains, while the
+   progress task is shared: the ticker's CAS elects one beat emitter at
+   a time) and the evidence is cut at the same place. *)
+let certificate ?domains ?budget ~parallel mode auditor game profile =
   Bbng_obs.Span.with_ "equilibrium.certify" @@ fun () ->
   Bbng_obs.Counter.bump c_certificates;
   let n = Game.n game in
   observe_certificate game
   @@ Bbng_obs.Progress.with_task ?budget ~total:(certify_work_total game)
        "certify" (fun progress ->
-         let rec scan player acc =
-           if player >= n then List.rev acc
-           else
-             let a = audited_player auditor game profile player in
-             progress_audit progress a;
-             if a.Best_response.improving <> None then
-               List.rev ((player, a) :: acc)
-             else scan (player + 1) ((player, a) :: acc)
+         let audit player =
+           let a = check_player auditor game profile player in
+           progress_audit progress a;
+           a
+         in
+         let audit =
+           if parallel then Array.get (Parallel.map ?domains ~n audit) else audit
          in
          {
            cert_version = Game.version game;
            cert_mode = mode;
            cert_profile = profile;
-           cert_evidence = scan 0 [];
+           cert_evidence = evidence_upto n audit;
          })
 
 let certify_cert ?budget game profile =
-  certify_cert_with ?budget
-    (Best_response.audit_exact ?budget)
-    Exact_mode game profile
+  certificate ?budget ~parallel:false Exact_mode
+    (Best_response.audit_exact ?budget) game profile
 
 let certify_swap_cert ?budget game profile =
-  certify_cert_with ?budget
-    (Best_response.audit_swap ?budget)
-    Swap_mode game profile
+  certificate ?budget ~parallel:false Swap_mode
+    (Best_response.audit_swap ?budget) game profile
 
 let certify_parallel_cert ?domains ?budget game profile =
-  Bbng_obs.Span.with_ "equilibrium.certify" @@ fun () ->
-  Bbng_obs.Counter.bump c_certificates;
-  let n = Game.n game in
-  let audits =
-    (* each audit builds its own evaluation context, so every domain
-       owns its rows: nothing of the distance-row cache crosses domains.
-       The progress task IS shared: every worker steps it by its scan
-       count, and the ticker's CAS elects one beat emitter at a time. *)
-    Bbng_obs.Progress.with_task ?budget ~total:(certify_work_total game)
-      "certify" (fun progress ->
-        Parallel.map ?domains ~n (fun player ->
-            let a =
-              audited_player
-                (Best_response.audit_exact ?budget)
-                game profile player
-            in
-            progress_audit progress a;
-            a))
-  in
-  (* truncate after the first (lowest-player) refutation so the
-     evidence shape — and the witness — matches the sequential
-     certifier, which makes the parallel variant deterministic where
-     [certify_parallel] is first-to-finish *)
-  let rec collect player acc =
-    if player >= n then List.rev acc
-    else
-      let a = audits.(player) in
-      if a.Best_response.improving <> None then List.rev ((player, a) :: acc)
-      else collect (player + 1) ((player, a) :: acc)
-  in
-  observe_certificate game
-    {
-      cert_version = Game.version game;
-      cert_mode = Exact_mode;
-      cert_profile = profile;
-      cert_evidence = collect 0 [];
-    }
+  certificate ?domains ?budget ~parallel:true Exact_mode
+    (Best_response.audit_exact ?budget) game profile
 
 (* --- certificate (de)serialization through the artifact envelope --- *)
 

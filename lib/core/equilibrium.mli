@@ -6,6 +6,15 @@
     {e witness} on failure so tests and experiments can show the
     profitable deviation instead of a bare [false].
 
+    Every certifier with a witness scans the players in increasing
+    order up to the first refutation: the plain ones ({!certify},
+    {!certify_swap}) through one allocation-free loop over a
+    [Best_response] refutation search, the certificate builders through
+    one evidence loop over a [Best_response] audit — run in player
+    order, or over every player on several domains
+    ({!certify_parallel_cert}) and then cut at the same lowest-index
+    refutation.
+
     Swap stability (no single-arc replacement helps any player) is the
     weaker, polynomial notion of Alon et al.; every Nash equilibrium is
     swap stable, and several of the paper's arguments only use swap
@@ -34,13 +43,10 @@ val certify : Game.t -> Strategy.t -> verdict
 
 val is_nash : Game.t -> Strategy.t -> bool
 
-val certify_parallel : ?domains:int -> Game.t -> Strategy.t -> verdict
-(** Like {!certify}, with the per-player best-response checks fanned
-    out over OCaml 5 domains (see {!Parallel}).  When refuted, the
-    returned witness may belong to any deviating player (whichever
-    domain finished first), not necessarily the smallest index. *)
-
 val is_nash_parallel : ?domains:int -> Game.t -> Strategy.t -> bool
+(** {!is_nash} with the per-player best-response checks fanned out over
+    OCaml 5 domains (see {!Parallel}); the first refutation any domain
+    finds stops the rest. *)
 
 val certify_swap : Game.t -> Strategy.t -> verdict
 (** Swap-stability check (polynomial). *)
@@ -115,12 +121,16 @@ val certify_parallel_cert :
   Game.t ->
   Strategy.t ->
   certificate
-(** Certificate-producing {!certify_parallel}.  Unlike
-    [certify_parallel], the result is deterministic: every player's
-    audit is computed and the evidence is truncated at the
-    lowest-index refutation, so the certificate equals the sequential
-    one.  Each domain builds its own evaluation context, so the
-    distance-row engine's caches are never shared across domains. *)
+(** {!certify_cert} with every player's audit fanned out over
+    domains; the evidence is cut at the lowest-index refutation, as the
+    sequential certifier cuts it.  With an unlimited [?budget] the
+    certificate therefore equals the sequential one.  A limited token
+    is shared by all domains, so which players degrade depends on how
+    the domains interleave: every audit that is not [Degraded_scan]
+    still equals that player's unlimited sequential audit, and the
+    certificate still passes {!verify_certificate}.  Each domain builds
+    its own evaluation context, so the distance-row engine's caches are
+    never shared across domains. *)
 
 val certificate_verdict : certificate -> verdict
 

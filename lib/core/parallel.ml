@@ -8,162 +8,56 @@ let c_abandoned = Bbng_obs.Counter.make "parallel.chunks_abandoned"
    shards — the same count whether the work ran on 1 domain or 8 *)
 let m_tasks = Bbng_obs.Metrics.counter "parallel.tasks_executed"
 
-(* indices this worker never evaluated because the early-exit flag
-   tripped; each per-index task is one "chunk" of the block-cyclic
-   distribution *)
-let abandoned_by ~n ~k i = if i < n then (n - i + k - 1) / k else 0
-
-(* Block-cyclic index distribution: domain d handles indices
-   d, d + k, d + 2k, ...  This balances heterogeneous per-index work
-   (low player indices are not systematically cheaper). *)
-
-let for_all ?domains ~n f =
+(* The one scheduler: every worker claims indices one at a time from a
+   shared atomic counter, so heterogeneous per-index costs (census
+   shards, per-player scans) balance without any cost model.  Once
+   [stop] is set — by [f], or by the first exception — no index is
+   claimed any more; every domain is joined before the first exception
+   is re-raised with its backtrace, so no worker outlives the call.
+   With one domain the caller runs the same loop alone. *)
+let run ?domains ?(stop = Atomic.make false) ~n f =
   let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
-  if k <= 1 || n <= 1 then begin
-    let rec go i =
-      i >= n
-      ||
-      (Bbng_obs.Metrics.incr m_tasks;
-       f i && go (i + 1))
-    in
-    go 0
-  end
-  else begin
-    let failed = Atomic.make false in
-    let worker d () =
-      let i = ref d in
-      while (not (Atomic.get failed)) && !i < n do
-        Bbng_obs.Metrics.incr m_tasks;
-        if not (f !i) then Atomic.set failed true;
-        i := !i + k
-      done;
-      Bbng_obs.Counter.add c_abandoned (abandoned_by ~n ~k !i)
-    in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          Domain.spawn (fun () ->
-              Bbng_obs.Profile.with_root base (worker (d + 1))))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker 0 ();
-    List.iter Domain.join spawned;
-    not (Atomic.get failed)
-  end
-
-let map ?domains ~n f =
-  let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
-  if k <= 1 || n <= 1 then
-    Array.init n (fun i ->
-        Bbng_obs.Metrics.incr m_tasks;
-        f i)
-  else begin
-    let results = Array.make n None in
-    let worker d () =
-      let i = ref d in
-      while !i < n do
-        Bbng_obs.Metrics.incr m_tasks;
-        results.(!i) <- Some (f !i);
-        i := !i + k
-      done
-    in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          Domain.spawn (fun () ->
-              Bbng_obs.Profile.with_root base (worker (d + 1))))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker 0 ();
-    List.iter Domain.join spawned;
-    Array.map
-      (function Some r -> r | None -> assert false (* every index visited *))
-      results
-  end
-
-(* Dynamic (work-stealing-ish) scheduling: indices are claimed one at
-   a time from a shared atomic counter, so wildly heterogeneous task
-   costs — census shards whose equilibrium density varies across the
-   profile space — balance without any cost model.  Block-cyclic [map]
-   stays the right tool for near-uniform per-index work (per-player
-   certification): it touches the counter cache line not at all. *)
-let map_dynamic ?domains ~n f =
-  let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
-  if k <= 1 || n <= 1 then
-    Array.init n (fun i ->
-        Bbng_obs.Metrics.incr m_tasks;
-        f i)
-  else begin
-    let next = Atomic.make 0 in
-    let results = Array.make n None in
-    let rec worker () =
+  let next = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let rec worker () =
+    if not (Atomic.get stop) then begin
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         Bbng_obs.Metrics.incr m_tasks;
-        results.(i) <- Some (f i);
+        (match f i with
+        | () -> ()
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+            Atomic.set stop true);
         worker ()
       end
-    in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun _ ->
-          Domain.spawn (fun () -> Bbng_obs.Profile.with_root base worker))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker ();
-    List.iter Domain.join spawned;
-    Array.map
-      (function Some r -> r | None -> assert false (* every index claimed *))
-      results
-  end
+    end
+  in
+  (* spawned workers root their span paths under the caller's current
+     call path, so a parallel fan-out's spans fold into the same
+     flamegraph branch as the single-domain run's *)
+  let base = Bbng_obs.Profile.current_path () in
+  let spawned =
+    List.init (max 0 (k - 1)) (fun _ ->
+        Domain.spawn (fun () -> Bbng_obs.Profile.with_root base worker))
+  in
+  Bbng_obs.Counter.add c_spawned (List.length spawned);
+  worker ();
+  List.iter Domain.join spawned;
+  Bbng_obs.Counter.add c_abandoned (n - min n (Atomic.get next));
+  match Atomic.get failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
-let find_map ?domains ~n f =
-  let k = min n (match domains with Some d -> max 1 d | None -> recommended_domains ()) in
-  if k <= 1 || n <= 1 then begin
-    let rec go i =
-      if i >= n then None
-      else begin
-        Bbng_obs.Metrics.incr m_tasks;
-        match f i with Some _ as r -> r | None -> go (i + 1)
-      end
-    in
-    go 0
-  end
-  else begin
-    let result = Atomic.make None in
-    let worker d () =
-      let i = ref d in
-      while Atomic.get result = None && !i < n do
-        Bbng_obs.Metrics.incr m_tasks;
-        (match f !i with
-        | Some _ as r ->
-            (* keep the first writer's answer *)
-            ignore (Atomic.compare_and_set result None r)
-        | None -> ());
-        i := !i + k
-      done;
-      Bbng_obs.Counter.add c_abandoned (abandoned_by ~n ~k !i)
-    in
-    (* spawned workers root their span paths under the caller's current
-       call path, so a parallel fan-out's spans fold into the same
-       flamegraph branch as the single-domain run's *)
-    let base = Bbng_obs.Profile.current_path () in
-    let spawned =
-      List.init (k - 1) (fun d ->
-          Domain.spawn (fun () ->
-              Bbng_obs.Profile.with_root base (worker (d + 1))))
-    in
-    Bbng_obs.Counter.add c_spawned (k - 1);
-    worker 0 ();
-    List.iter Domain.join spawned;
-    Atomic.get result
-  end
+let map ?domains ~n f =
+  let results = Array.make n None in
+  run ?domains ~n (fun i -> results.(i) <- Some (f i));
+  Array.map
+    (function Some r -> r | None -> assert false (* every index claimed *))
+    results
+
+let for_all ?domains ~n f =
+  let stop = Atomic.make false in
+  run ?domains ~stop ~n (fun i -> if not (f i) then Atomic.set stop true);
+  not (Atomic.get stop)

@@ -3,18 +3,24 @@
     Equilibrium certification is embarrassingly parallel across players
     — each player's best-response check touches only immutable data —
     so the expensive certifications (Figure 1, big tripods, shift
-    graphs) can fan out over domains.  No dependency beyond the
-    standard library: plain [Domain.spawn] with block scheduling and an
-    atomic early-exit flag.
+    graphs) and census shards fan out over domains.  No dependency
+    beyond the standard library: one scheduler, where plain
+    [Domain.spawn] workers claim indices one at a time from a shared
+    atomic counter, with an atomic early-exit flag.
 
     Keep the task grain coarse: spawning a domain costs far more than a
-    BFS, so these helpers are used at the per-player level, not inside
-    the subset enumeration.
+    BFS, so these helpers are used at the per-player (or per-shard)
+    level, not inside the subset enumeration.
+
+    If a task raises, no further index is claimed, every domain is
+    joined, and the first exception is re-raised with its backtrace: no
+    worker outlives the call.
 
     Observability: spawns bump the [parallel.domains_spawned] counter,
-    and every index a worker skips because the early-exit flag tripped
-    bumps [parallel.chunks_abandoned] — so "early exit abandons work"
-    is a measurable claim, not a doc promise (see [test_parallel]). *)
+    and every index never claimed because the early-exit flag tripped
+    (or a task raised) bumps [parallel.chunks_abandoned] — so "early
+    exit abandons work" is a measurable claim, not a doc promise (see
+    [test_parallel]). *)
 
 val recommended_domains : unit -> int
 (** [max 1 (Domain.recommended_domain_count () - 1)]: leave one core
@@ -23,28 +29,13 @@ val recommended_domains : unit -> int
 val for_all : ?domains:int -> n:int -> (int -> bool) -> bool
 (** [for_all ~n f] is [f 0 && ... && f (n-1)], evaluated on up to
     [domains] domains (default {!recommended_domains}) with early exit:
-    once any index returns [false], remaining work is abandoned at the
-    next index boundary.  [f] must be safe to run concurrently (pure,
-    or confined to its own mutable state).  Falls back to a sequential
-    scan when [domains <= 1] or [n <= 1]. *)
+    once any index returns [false], no further index is claimed.  [f]
+    must be safe to run concurrently (pure, or confined to its own
+    mutable state).  With [domains <= 1] or [n <= 1] the caller runs
+    every index itself. *)
 
 val map : ?domains:int -> n:int -> (int -> 'a) -> 'a array
-(** [map ~n f] is [[| f 0; ...; f (n-1) |]] with the indices fanned out
-    block-cyclically over domains.  No early exit: every index is
-    evaluated — this is what certificate production uses, where the
-    whole point is keeping every player's evidence (deterministic
-    output, unlike {!find_map}). *)
-
-val map_dynamic : ?domains:int -> n:int -> (int -> 'a) -> 'a array
-(** {!map} with dynamic scheduling: indices are claimed one at a time
-    from a shared atomic counter, so heterogeneous per-index costs
-    (census shards of very different equilibrium density) balance
-    across domains instead of serializing behind the unluckiest block.
-    Same determinism as {!map} — every index is evaluated and lands in
-    its slot; only the execution interleaving differs. *)
-
-val find_map : ?domains:int -> n:int -> (int -> 'a option) -> 'a option
-(** First-ish [Some] produced by any index, or [None].  "First-ish":
-    with several domains the winner is the first to {e finish}, not
-    necessarily the smallest index — callers needing determinism should
-    use one domain.  Early exit as in {!for_all}. *)
+(** [map ~n f] is [[| f 0; ...; f (n-1) |]], the indices claimed
+    dynamically by up to [domains] domains.  No early exit: every index
+    is evaluated and lands in its own slot, so the result is the
+    sequential one whatever the interleaving. *)

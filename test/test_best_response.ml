@@ -54,7 +54,7 @@ let test_lemma_2_2 () =
   check_true "braced but adjacent to all" (Best_response.satisfies_lemma_2_2 braced 0);
   check_false "braced at distance 2" (Best_response.satisfies_lemma_2_2 braced 1)
 
-let test_exact_improvement_none_at_equilibrium () =
+let test_exact_refutation_none_at_equilibrium () =
   let p = Bbng_constructions.Unit_budget.concentrated_sun ~n:6 in
   List.iter
     (fun version ->
@@ -62,16 +62,16 @@ let test_exact_improvement_none_at_equilibrium () =
       for player = 0 to 5 do
         check_true
           (Printf.sprintf "%s player %d" (Cost.version_name version) player)
-          (Best_response.exact_improvement game p player = None)
+          (Best_response.exact_refutation game p player = None)
       done)
     Cost.all_versions
 
-let test_exact_improvement_found () =
+let test_exact_refutation_found () =
   (* directed path: the first vertex would rather link to the middle in MAX *)
   let p = Strategy.of_digraph (Bbng_graph.Generators.directed_path 7) in
   let game = Game.make Cost.Max (Strategy.budgets p) in
-  match Best_response.exact_improvement game p 0 with
-  | Some m ->
+  match Best_response.exact_refutation game p 0 with
+  | Some (m, _) ->
       check_true "strictly better"
         (m.Best_response.cost < Game.player_cost game p 0)
   | None -> Alcotest.fail "expected an improvement"
@@ -83,7 +83,7 @@ let test_swap_equals_exact_for_unit_budget () =
     let p = Strategy.random st (Budget.unit_budgets 6) in
     let game = Game.make Cost.Sum (Budget.unit_budgets 6) in
     for player = 0 to 5 do
-      let swap = Best_response.swap_best game p player in
+      let swap = Option.map fst (Best_response.swap_best_refutation game p player) in
       let full = Best_response.best_improvement game p player in
       match (swap, full) with
       | None, None -> ()
@@ -94,11 +94,11 @@ let test_swap_equals_exact_for_unit_budget () =
     done
   done
 
-let test_first_improving_swap_improves () =
+let test_swap_refutation_improves () =
   let p = Strategy.of_digraph (Bbng_graph.Generators.directed_path 8) in
   let game = Game.make Cost.Sum (Strategy.budgets p) in
-  match Best_response.first_improving_swap game p 0 with
-  | Some m -> check_true "improves" (m.Best_response.cost < Game.player_cost game p 0)
+  match Best_response.swap_refutation game p 0 with
+  | Some (m, _) -> check_true "improves" (m.Best_response.cost < Game.player_cost game p 0)
   | None -> Alcotest.fail "expected a swap improvement"
 
 let test_greedy_respects_budget () =
@@ -147,9 +147,9 @@ let prop_swap_never_beats_exact =
       let game = Game.make Cost.Max (Strategy.budgets p) in
       let player = seed mod n in
       let exact = Best_response.exact game p player in
-      match Best_response.swap_best game p player with
+      match Best_response.swap_best_refutation game p player with
       | None -> exact.Best_response.cost <= Game.player_cost game p player
-      | Some swap -> exact.Best_response.cost <= swap.Best_response.cost)
+      | Some (swap, _) -> exact.Best_response.cost <= swap.Best_response.cost)
 
 let prop_exact_at_most_current =
   qcheck "exact best response never worse than current"
@@ -253,11 +253,45 @@ let cost_floor_of game p player =
     ~budget:(Budget.get (Strategy.budgets p) player)
     ~in_degree:!in_degree
 
+(* Where a walk over [moves] stops, by the search's thresholds: each
+   candidate is kept when strictly cheaper than [cap] and than every
+   earlier kept one, and the walk ends once a kept cost is below
+   [stop].  The kept move, the candidates priced and the improving keeps
+   (cheaper than [current]). *)
+let ref_walk ~cap ~stop ~current moves =
+  let rec go scanned kept improving = function
+    | [] -> ((kept : Best_response.move option), scanned, improving)
+    | (m : Best_response.move) :: rest -> (
+        let bound =
+          match kept with Some (k : Best_response.move) -> min cap k.cost | None -> cap
+        in
+        let kept, improving =
+          if m.cost < bound then
+            (Some m, if m.cost < current then improving + 1 else improving)
+          else (kept, improving)
+        in
+        match kept with
+        | Some k when k.cost < stop -> (kept, scanned + 1, improving)
+        | _ -> go (scanned + 1) kept improving rest)
+  in
+  go 0 None 0 moves
+
+(* a search's answer with its br.candidates and br.improving_moves
+   deltas *)
+let counted f =
+  let candidates () = Bbng_obs.Counter.find "br.candidates"
+  and improving () = Bbng_obs.Counter.find "br.improving_moves" in
+  let c0 = candidates () and i0 = improving () in
+  let r = f () in
+  (r, candidates () - c0, improving () - i0)
+
 let prop_scans_match_reference =
   (* every bounded scan answers exactly as the unbounded reference, field
      for field: the audits (unlimited, and cut short by a random work
-     limit at whatever candidate it stops), the best response and both
-     refutations *)
+     limit at whatever candidate it stops), the best response, both
+     exact refutations and both swap refutations; and every search's
+     counter deltas are those of the reference walk stopped where the
+     search's thresholds stop it *)
   let module Budgeted = Bbng_obs.Budgeted in
   qcheck ~count:150 "bounded scans == unbounded reference scans"
     (random_budget_gen ~n_min:2 ~n_max:10) (fun ((n, _, seed) as input) ->
@@ -295,35 +329,82 @@ let prop_scans_match_reference =
                 ~candidates:(Bbng_graph.Combinatorics.Exact (b * (n - 1 - b)))
                 ~current ~limit swap_moves
           in
+          (* an audit's deltas: its scanned count, and one improving keep
+             iff it refutes *)
+          let audited audit expect =
+            let a, d_cand, d_impr = counted audit in
+            let e = expect a in
+            a = e
+            && d_cand = e.Best_response.scanned
+            && d_impr = if e.Best_response.improving = None then 0 else 1
+          in
           let limited audit expect =
             let budget = Budgeted.create ~work_limit:(Random.State.int st (4 * n * n)) () in
-            let a = audit budget in
-            let limit =
-              if a.Best_response.tier = Best_response.Degraded_scan then
-                a.Best_response.scanned
-              else max_int
+            audited
+              (fun () -> audit budget)
+              (fun a ->
+                expect
+                  ~limit:
+                    (if a.Best_response.tier = Best_response.Degraded_scan then
+                       a.Best_response.scanned
+                     else max_int))
+          in
+          let first_below moves =
+            List.find_opt (fun (m : Best_response.move) -> m.cost < current) moves
+          in
+          let cheapest_below moves =
+            match ref_first_min moves with
+            | Some (m : Best_response.move) when m.cost < current -> Some m
+            | _ -> None
+          in
+          (* a plain search: its answer, and its deltas against the
+             reference walk ([pruned]: the ladder settles it unscanned) *)
+          let searched search ~pruned ~cap ~stop moves expect =
+            let r, d_cand, d_impr = counted search in
+            let scanned, improving =
+              if pruned then (0, 0)
+              else
+                let _, scanned, improving = ref_walk ~cap ~stop ~current moves in
+                (scanned, improving)
             in
-            a = expect ~limit
+            r = expect && d_cand = scanned && d_impr = improving
           in
-          let best = ref_first_min exact_moves in
-          let improving =
-            List.find_opt (fun (m : Best_response.move) -> m.cost < current) exact_moves
-          in
-          Best_response.audit_exact game p player = expect_exact ~limit:max_int
-          && Best_response.audit_swap game p player = expect_swap ~limit:max_int
+          let refutation = Option.map (fun m -> (m, current)) in
+          let exact_pruned =
+            current <= floor || Best_response.satisfies_lemma_2_2 p player
+          and swap_pruned = current <= floor in
+          audited
+            (fun () -> Best_response.audit_exact game p player)
+            (fun _ -> expect_exact ~limit:max_int)
+          && audited
+               (fun () -> Best_response.audit_swap game p player)
+               (fun _ -> expect_swap ~limit:max_int)
           && limited
                (fun budget -> Best_response.audit_exact ~budget game p player)
                expect_exact
           && limited
                (fun budget -> Best_response.audit_swap ~budget game p player)
                expect_swap
-          && Some (Best_response.exact game p player) = best
-          && Best_response.best_refutation game p player
-             = (match best with
-               | Some m when m.Best_response.cost < current -> Some (m, current)
-               | _ -> None)
-          && Best_response.exact_refutation game p player
-             = Option.map (fun m -> (m, current)) improving)
+          && searched
+               (fun () -> Some (Best_response.exact game p player))
+               ~pruned:false ~cap:max_int ~stop:(floor + 1) exact_moves
+               (ref_first_min exact_moves)
+          && searched
+               (fun () -> Best_response.best_refutation game p player)
+               ~pruned:exact_pruned ~cap:current ~stop:(floor + 1) exact_moves
+               (refutation (cheapest_below exact_moves))
+          && searched
+               (fun () -> Best_response.exact_refutation game p player)
+               ~pruned:exact_pruned ~cap:current ~stop:current exact_moves
+               (refutation (first_below exact_moves))
+          && searched
+               (fun () -> Best_response.swap_best_refutation game p player)
+               ~pruned:swap_pruned ~cap:current ~stop:min_int swap_moves
+               (refutation (cheapest_below swap_moves))
+          && searched
+               (fun () -> Best_response.swap_refutation game p player)
+               ~pruned:swap_pruned ~cap:current ~stop:current swap_moves
+               (refutation (first_below swap_moves)))
         Cost.all_versions)
 
 let test_candidates_counter_counts_priced () =
@@ -359,10 +440,10 @@ let suite =
     case "exact is the minimum" test_exact_is_minimum;
     case "exact with zero budget" test_exact_zero_budget;
     case "lemma 2.2 shortcut" test_lemma_2_2;
-    case "no improvement at equilibrium" test_exact_improvement_none_at_equilibrium;
-    case "improvement found off equilibrium" test_exact_improvement_found;
+    case "no improvement at equilibrium" test_exact_refutation_none_at_equilibrium;
+    case "improvement found off equilibrium" test_exact_refutation_found;
     case "swap = exact for unit budgets" test_swap_equals_exact_for_unit_budget;
-    case "first improving swap" test_first_improving_swap_improves;
+    case "first improving swap" test_swap_refutation_improves;
     case "greedy respects budget" test_greedy_respects_budget;
     case "audits record the budget's engine" test_audits_record_the_budgets_engine;
     prop_swap_never_beats_exact;

@@ -124,6 +124,25 @@ let test_parallel_equals_sequential () =
     [ (Cost.Max, sun8); (Cost.Max, tripod2); (Cost.Max, path3);
       (Cost.Sum, path3) ]
 
+(* A limited token is shared by the domains, so which players degrade
+   depends on the interleaving; what does not is every completed audit,
+   which must equal that player's unlimited sequential audit. *)
+let test_parallel_limited_audits () =
+  let p = Bbng_constructions.Binary_tree.profile ~depth:5 in
+  let g = game Cost.Sum (Strategy.budgets p) in
+  let budget = Bbng_obs.Budgeted.create ~work_limit:100_000 () in
+  let cert = Equilibrium.certify_parallel_cert ~domains:4 ~budget g p in
+  (match Equilibrium.verify_certificate cert with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "work-limited parallel certificate rejected: %s" msg);
+  List.iter
+    (fun (player, (a : Best_response.audit)) ->
+      if a.Best_response.tier <> Best_response.Degraded_scan then
+        check_true
+          (Printf.sprintf "player %d: audit = unlimited sequential audit" player)
+          (a = Best_response.audit_exact g p player))
+    cert.Equilibrium.cert_evidence
+
 let test_verify_accepts_honest_certs () =
   List.iter
     (fun cert ->
@@ -367,6 +386,7 @@ let suite =
     case "truncated file rejected" test_truncated_file_rejected;
     case "wrong kind rejected" test_wrong_kind_rejected;
     case "parallel = sequential" test_parallel_equals_sequential;
+    case "work-limited parallel audits = sequential" test_parallel_limited_audits;
     case "verify accepts honest certificates" test_verify_accepts_honest_certs;
     case "cross-engine round trip" test_cross_engine_round_trip;
     case "verify rejects corrupted current" test_verify_rejects_corrupted_current;

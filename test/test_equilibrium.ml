@@ -239,7 +239,8 @@ let prop_refutation_cost_is_player_cost =
               | Equilibrium.Equilibrium -> true
               | Equilibrium.Degraded _ -> false)
             [ Equilibrium.certify game p; Equilibrium.certify_swap game p;
-              Equilibrium.certify_parallel ~domains:1 game p ])
+              Equilibrium.certificate_verdict
+                (Equilibrium.certify_parallel_cert ~domains:1 game p) ])
         Cost.all_versions)
 
 let suite =
